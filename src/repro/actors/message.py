@@ -1,21 +1,28 @@
 """Actor messages and the delivery log.
 
-Every cross-actor call is materialized as a :class:`Message` and recorded,
-giving tests and the simulation a faithful trace of service interactions —
-the same observability a real Xoscar deployment gets from its RPC layer.
+Every cross-actor call is recorded, giving tests and the simulation a
+faithful trace of service interactions — the same observability a real
+Xoscar deployment gets from its RPC layer.
+
+The log records *who called what*, never the payload: each delivery is
+one ``(sender, recipient, method, seq)`` row in a bounded ring, and
+:class:`Message` objects are only built when :meth:`MessageLog.recent`
+is read.  Holding ``args``/``kwargs`` would keep up to ``capacity``
+messages' chunk values alive long after storage freed them.
 
 The log is shared mutable state touched from the accounting thread *and*
 band-runner pool threads (compute-phase storage peeks route through the
-actor plane), so every mutation happens under a lock.  Aggregate counters
-(per-recipient, per-edge) are maintained alongside the bounded message
-list: trimming old messages never loses counts, which is what
+actor plane), so every mutation happens under a lock.  One
+``(sender, recipient, method)`` counter is kept alongside the ring;
+per-edge and per-recipient totals are folded from it on read, so
+trimming old rows never loses counts, which is what
 ``diagnostics.service_report`` summarizes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,46 +50,46 @@ class MessageLog:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._messages: list[Message] = []
+        #: ``(sender, recipient, method, seq)`` rows, oldest trimmed.
+        self._rows: deque[tuple[str, str, str, int]] = deque(maxlen=capacity)
         self._seq = 0
         self.total_delivered = 0
-        #: (sender, recipient) -> deliveries, never trimmed.
-        self._edge_counts: Counter[tuple[str, str]] = Counter()
-        #: recipient uid -> deliveries, never trimmed.
-        self._recipient_counts: Counter[str] = Counter()
         #: (sender, recipient, method) -> deliveries, never trimmed.
         self._method_counts: Counter[tuple[str, str, str]] = Counter()
 
-    def record(self, message: Message) -> None:
+    def record(self, sender: str, recipient: str, method: str) -> None:
+        """Record one delivery: who called what, never the payload."""
         with self._lock:
             self._seq += 1
             self.total_delivered += 1
-            message.seq = self._seq
-            self._messages.append(message)
-            self._edge_counts[(message.sender, message.recipient)] += 1
-            self._recipient_counts[message.recipient] += 1
-            self._method_counts[
-                (message.sender, message.recipient, message.method)
-            ] += 1
-            if len(self._messages) > self.capacity:
-                del self._messages[: len(self._messages) - self.capacity]
+            self._rows.append((sender, recipient, method, self._seq))
+            self._method_counts[(sender, recipient, method)] += 1
 
     def recent(self, n: int = 50) -> list[Message]:
         with self._lock:
-            return self._messages[-n:]
+            rows = list(self._rows)[-n:]
+        return [Message(sender, recipient, method, seq=seq)
+                for sender, recipient, method, seq in rows]
+
+    def _fold(self, key) -> Counter:
+        counts: Counter = Counter()
+        for triple, n in self._method_counts.items():
+            counts[key(triple)] += n
+        return counts
 
     def count_for(self, recipient: str) -> int:
         """Total deliveries to ``recipient`` (not limited to the window)."""
         with self._lock:
-            return self._recipient_counts.get(recipient, 0)
+            return sum(n for (_, to, _), n in self._method_counts.items()
+                       if to == recipient)
 
     def recipient_counts(self) -> dict[str, int]:
         with self._lock:
-            return dict(self._recipient_counts)
+            return dict(self._fold(lambda triple: triple[1]))
 
     def edge_counts(self) -> dict[tuple[str, str], int]:
         with self._lock:
-            return dict(self._edge_counts)
+            return dict(self._fold(lambda triple: triple[:2]))
 
     def method_counts(self) -> dict[tuple[str, str, str], int]:
         with self._lock:
@@ -91,21 +98,18 @@ class MessageLog:
     def edges(self) -> set[tuple[str, str]]:
         """Every (sender, recipient) pair ever delivered."""
         with self._lock:
-            return set(self._edge_counts)
+            return {triple[:2] for triple in self._method_counts}
 
     def top_edges(self, n: int = 10) -> list[tuple[tuple[str, str], int]]:
         """The chattiest sender -> recipient pairs, busiest first."""
-        with self._lock:
-            return sorted(
-                self._edge_counts.items(),
-                key=lambda item: (-item[1], item[0]),
-            )[:n]
+        return sorted(
+            self.edge_counts().items(),
+            key=lambda item: (-item[1], item[0]),
+        )[:n]
 
     def clear(self) -> None:
         with self._lock:
-            self._messages.clear()
-            self._edge_counts.clear()
-            self._recipient_counts.clear()
+            self._rows.clear()
             self._method_counts.clear()
             self.total_delivered = 0
 
@@ -114,8 +118,8 @@ class MessageLog:
         with self._lock:
             return {
                 "total_delivered": self.total_delivered,
-                "recipients": dict(self._recipient_counts),
-                "edges": dict(self._edge_counts),
+                "recipients": dict(self._fold(lambda triple: triple[1])),
+                "edges": dict(self._fold(lambda triple: triple[:2])),
             }
 
 

@@ -13,7 +13,7 @@ from typing import Any, Type
 
 from ..errors import ActorError, ActorNotFound
 from .actor import Actor, ActorRef
-from .message import Message, MessageChaos, MessageLog
+from .message import MessageChaos, MessageLog
 
 
 class ActorPool:
@@ -126,14 +126,6 @@ class ActorSystem:
         self.get_pool(address).remove(uid)
 
     # -- message delivery --------------------------------------------------------
-    @property
-    def _current_actor(self) -> Actor | None:
-        return getattr(self._tls, "current_actor", None)
-
-    @_current_actor.setter
-    def _current_actor(self, actor: Actor | None) -> None:
-        self._tls.current_actor = actor
-
     def set_thread_sender(self, label: str | None) -> None:
         """Name this thread's deliveries when no actor is handling one.
 
@@ -173,13 +165,14 @@ class ActorSystem:
         handler = getattr(actor, method, None)
         if handler is None or not callable(handler):
             raise ActorError(f"actor {uid!r} has no method {method!r}")
-        current = self._current_actor
+        tls = self._tls
+        current = getattr(tls, "current_actor", None)
         if current is not None:
             sender = current.uid
         else:
-            sender = getattr(self._tls, "sender_label", None) or "<external>"
-        self.log.record(Message(sender=sender, recipient=uid, method=method,
-                                args=args, kwargs=kwargs))
+            sender = getattr(tls, "sender_label", None) or "<external>"
+        record = self.log.record
+        record(sender, uid, method)
         chaos = self.chaos
         duplicated = False
         if chaos is not None:
@@ -190,19 +183,17 @@ class ActorSystem:
                 # below is the delivery that reaches the endpoint.
                 # Delays keep synchronous RPC semantics (recorded only).
                 _, _, duplicated = chaos.plan(method, token)
-        self._current_actor = actor
+        tls.current_actor = actor
         try:
             if duplicated:
                 # stray redelivery: the endpoint's dedup log makes the
                 # second application a no-op returning the memoized
                 # result, which is also what the caller sees.
-                self.log.record(Message(sender=sender, recipient=uid,
-                                        method=method, args=args,
-                                        kwargs=kwargs))
+                record(sender, uid, method)
                 handler(*args, **kwargs)
             return handler(*args, **kwargs)
         finally:
-            self._current_actor = current
+            tls.current_actor = current
 
     def shutdown(self) -> None:
         for address in list(self._pools):

@@ -36,7 +36,12 @@ from ..errors import (
     WorkerOutOfMemory,
     WorkerProcessCrash,
 )
-from ..engine.base import compiled_fusion_enabled, engine_of, persist_result
+from ..engine.base import (
+    compiled_fusion_enabled,
+    engine_of,
+    is_multi_output,
+    persist_result,
+)
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData
 from ..graph.identity import compute_chunk_identities
@@ -978,9 +983,7 @@ class GraphExecutor:
                     else:
                         result = computed.op_results[id(op)]
                         extra_meta = computed.op_extra_meta.get(id(op), {})
-                    if isinstance(result, dict) and result and all(
-                        k in {o.key for o in op.outputs} for k in result
-                    ):
+                    if is_multi_output(op, result):
                         for out_key, value in result.items():
                             _env_store(out_key, value)
                     else:
@@ -1094,7 +1097,8 @@ class GraphExecutor:
             if recovering:
                 stage.recovery_bytes += stored
                 self.scheduling.record_chunk(key, subtask.band)
-            meta_entries.append((key, value, self._pending_extra.pop(key, None)))
+            meta_entries.append(
+                (key, value, self._pending_extra.pop(key, None), stored))
         if register_entries:
             self.shuffle.register_partitions(register_entries,
                                              dedup_token=self._mint_token())

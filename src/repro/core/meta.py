@@ -29,15 +29,17 @@ class ChunkMeta:
     extra: dict = field(default_factory=dict)
 
 
-def meta_from_value(value: Any, extra: dict | None = None) -> ChunkMeta:
+def meta_from_value(value: Any, extra: dict | None = None,
+                    nbytes: int | None = None) -> ChunkMeta:
     """Derive a :class:`ChunkMeta` from an executed chunk's value.
 
     Dispatches through the engine seam (``repro.engine``): chunk values
     are physical, and each backend registers describers for its own
     types — a columnar chunk reports its dictionary-encoded byte size,
     which is what storage budgets and footprint EWMAs must see.
+    ``nbytes`` is the value's already-charged ``sizeof``, when known.
     """
-    return ChunkMeta(**describe_value(value, extra))
+    return ChunkMeta(**describe_value(value, extra, nbytes))
 
 
 class MetaService:
@@ -64,13 +66,14 @@ class MetaService:
         return meta
 
     def set_from_values(self, entries) -> None:
-        """Batched :meth:`set_from_value`: ``(key, value, extra)`` tuples.
+        """Batched :meth:`set_from_value`: ``(key, value, extra, nbytes)``.
 
-        One message records a subtask's whole output set.
+        One message records a subtask's whole output set.  ``nbytes`` is
+        the size storage charged for the value (``None`` to measure it).
         """
         with self._lock:
-            for key, value, extra in entries:
-                self._metas[key] = meta_from_value(value, extra=extra)
+            for key, value, extra, nbytes in entries:
+                self._metas[key] = meta_from_value(value, extra, nbytes)
 
     def get(self, key: str) -> Optional[ChunkMeta]:
         with self._lock:

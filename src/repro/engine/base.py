@@ -194,15 +194,23 @@ def compiled_fusion_enabled(config) -> bool:
         and engine_of(config).supports_compiled_fusion
 
 
+def is_multi_output(op, result: Any) -> bool:
+    """Whether ``result`` follows the multi-output convention.
+
+    That is a non-empty ``{chunk_key: value}`` dict keyed only by
+    ``op``'s own output keys; anything else is ``op``'s single output.
+    """
+    return (isinstance(result, dict) and bool(result)
+            and {o.key for o in op.outputs}.issuperset(result))
+
+
 def persist_result(engine: ChunkEngine, op, result: Any) -> Any:
     """Persist an operator kernel's result before it enters the env.
 
-    Handles the multi-output convention (``{chunk_key: value}`` keyed by
-    the op's own output keys) the kernel loops already use.
+    Handles the multi-output convention (:func:`is_multi_output`) the
+    kernel loops already use.
     """
-    if isinstance(result, dict) and result and all(
-        k in {o.key for o in op.outputs} for k in result
-    ):
+    if is_multi_output(op, result):
         return {key: engine.persist(value) for key, value in result.items()}
     return engine.persist(result)
 
@@ -221,30 +229,33 @@ def register_describer(cls: type,
     _DESCRIBERS[cls] = fn
 
 
-def describe_value(value: Any, extra: dict | None = None) -> dict:
+def describe_value(value: Any, extra: dict | None = None,
+                   nbytes: int | None = None) -> dict:
     """Engine-dispatched schema facts of an executed chunk value.
 
     Returns the field dict of a :class:`repro.core.meta.ChunkMeta`
     (shape/nbytes/kind/dtype/columns/extra).  Backends register
     describers for their physical types so columnar chunks report their
-    schema without decoding.
+    schema without decoding.  Callers that already charged the value's
+    ``sizeof`` pass it as ``nbytes`` to skip a second recursive sizing;
+    a registered describer reports its own size and ignores it.
     """
     extra = dict(extra or {})
     describer = _DESCRIBERS.get(type(value))
     if describer is not None:
         return describer(value, extra)
+    if nbytes is None:
+        nbytes = sizeof(value)
     if isinstance(value, DataFrame):
-        return dict(shape=value.shape, nbytes=sizeof(value),
-                    kind="dataframe", columns=value.columns.to_list(),
-                    extra=extra)
+        return dict(shape=value.shape, nbytes=nbytes, kind="dataframe",
+                    columns=list(value._columns), extra=extra)
     if isinstance(value, Series):
-        return dict(shape=value.shape, nbytes=sizeof(value), kind="series",
+        return dict(shape=value.shape, nbytes=nbytes, kind="series",
                     dtype=value.dtype, extra=extra)
     if isinstance(value, np.ndarray):
-        return dict(shape=value.shape, nbytes=sizeof(value), kind="tensor",
+        return dict(shape=value.shape, nbytes=nbytes, kind="tensor",
                     dtype=value.dtype, extra=extra)
     if isinstance(value, (list, tuple, dict)):
-        return dict(shape=(), nbytes=sizeof(value), kind="scalar",
-                    extra=extra)
-    return dict(shape=(), nbytes=sizeof(value), kind="scalar",
+        return dict(shape=(), nbytes=nbytes, kind="scalar", extra=extra)
+    return dict(shape=(), nbytes=nbytes, kind="scalar",
                 dtype=getattr(value, "dtype", None), extra=extra)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dtypes
 from .dataframe import DataFrame
-from .index import Index, default_index
+from .index import Index, concat_indexes, default_index
 from .series import Series
 
 
@@ -34,13 +34,12 @@ def concat(objs: Sequence, axis: int = 0, ignore_index: bool = False):
 
 def _concat_series(series_list: Sequence[Series], ignore_index: bool) -> Series:
     dtype = dtypes.common_dtype([s.dtype for s in series_list])
-    values = np.concatenate([s.values.astype(dtype) for s in series_list])
+    values = np.concatenate([s.values.astype(dtype, copy=False)
+                             for s in series_list])
     if ignore_index:
         index = default_index(len(values))
     else:
-        index = series_list[0].index
-        for s in series_list[1:]:
-            index = index.append(s.index)
+        index = concat_indexes([s.index for s in series_list])
     names = {s.name for s in series_list}
     name = names.pop() if len(names) == 1 else None
     return Series(values, index=index, name=name)
@@ -55,7 +54,7 @@ def _concat_series_as_frame(series_list: Sequence[Series]) -> DataFrame:
 
 
 def _concat_rows(frames: Sequence[DataFrame], ignore_index: bool) -> DataFrame:
-    non_empty = [f for f in frames if len(f.columns) > 0]
+    non_empty = [f for f in frames if len(f._columns) > 0]
     if not non_empty:
         return DataFrame({})
     # union of columns in first-seen order
@@ -75,9 +74,11 @@ def _concat_rows(frames: Sequence[DataFrame], ignore_index: bool) -> DataFrame:
         dtype = dtypes.common_dtype(present_dtypes)
         if has_missing_block and dtype.kind in ("i", "u", "b"):
             dtype = np.dtype(np.float64)
+        # np.concatenate copies once; pieces already at ``dtype`` need
+        # no cast copy of their own.
         for frame in non_empty:
             if name in frame._data:
-                pieces.append(frame._data[name].astype(dtype))
+                pieces.append(frame._data[name].astype(dtype, copy=False))
             else:
                 fill = dtypes.na_value_for(dtype)
                 pieces.append(np.full(len(frame), fill, dtype=dtype))
@@ -87,9 +88,7 @@ def _concat_rows(frames: Sequence[DataFrame], ignore_index: bool) -> DataFrame:
     if ignore_index:
         index: Index = default_index(total)
     else:
-        index = non_empty[0].index
-        for frame in non_empty[1:]:
-            index = index.append(frame.index)
+        index = concat_indexes([f.index for f in non_empty])
     return DataFrame(data, index=index, columns=columns)
 
 

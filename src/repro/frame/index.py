@@ -260,6 +260,39 @@ class MultiIndex(Index):
         return MultiIndex(self._values.tolist(), names=list(self.names))
 
 
+def concat_indexes(indexes: Sequence[Index]) -> Index:
+    """Row-wise concatenation of ``indexes``, in one copy.
+
+    Equal to the left fold ``indexes[0].append(indexes[1]).append(...)``
+    — same values, dtype and name — without the fold's quadratic
+    re-copying: pieces are gathered at the fold's running common dtype,
+    and the gathered prefix is re-cast only when that dtype widens
+    (object and datetime mixing are absorbing, numeric promotion is
+    monotone, so that happens at most a few times).  The name survives
+    only if every piece shares it.
+    """
+    first = indexes[0]
+    if len(indexes) == 1:
+        return first
+    if any(isinstance(ix, MultiIndex) for ix in indexes):
+        out = first
+        for ix in indexes[1:]:
+            out = out.append(ix)
+        return out
+    dtype = first.dtype
+    name = first.name
+    parts = [first.values]
+    for ix in indexes[1:]:
+        widened = dtypes.common_dtype([dtype, ix.dtype])
+        if widened != dtype:
+            parts = [np.concatenate(parts).astype(widened)]
+            dtype = widened
+        parts.append(ix.values.astype(dtype, copy=False))
+        if name != ix.name:
+            name = None
+    return Index(np.concatenate(parts), name=name)
+
+
 def default_index(n: int) -> RangeIndex:
     """The index a new frame gets when none is supplied."""
     return RangeIndex(n)

@@ -12,32 +12,43 @@ N = TypeVar("N", bound=Hashable)
 
 
 class DAG(Generic[N]):
-    """Directed graph with acyclicity enforced at traversal time."""
+    """Directed graph with acyclicity enforced at traversal time.
+
+    Adjacency is stored as insertion-ordered dicts used as ordered sets:
+    edge membership is a hash lookup, and successors and predecessors
+    iterate in the order their edges were added.
+    """
 
     def __init__(self):
-        self._succ: dict[N, list[N]] = {}
-        self._pred: dict[N, list[N]] = {}
+        self._succ: dict[N, dict[N, None]] = {}
+        self._pred: dict[N, dict[N, None]] = {}
 
     # -- construction ------------------------------------------------------
     def add_node(self, node: N) -> None:
         if node not in self._succ:
-            self._succ[node] = []
-            self._pred[node] = []
+            self._succ[node] = {}
+            self._pred[node] = {}
 
     def add_edge(self, src: N, dst: N) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        if dst not in self._succ[src]:
-            self._succ[src].append(dst)
-            self._pred[dst].append(src)
+        succ, pred = self._succ, self._pred
+        out = succ.get(src)
+        if out is None:
+            out = succ[src] = {}
+            pred[src] = {}
+        if dst not in succ:
+            succ[dst] = {}
+            pred[dst] = {}
+        if dst not in out:
+            out[dst] = None
+            pred[dst][src] = None
 
     def remove_node(self, node: N) -> None:
         if node not in self._succ:
             raise GraphError(f"node {node!r} not in graph")
         for succ in self._succ[node]:
-            self._pred[succ].remove(node)
+            del self._pred[succ][node]
         for pred in self._pred[node]:
-            self._succ[pred].remove(node)
+            del self._succ[pred][node]
         del self._succ[node]
         del self._pred[node]
 
@@ -78,15 +89,19 @@ class DAG(Generic[N]):
     # -- traversal -------------------------------------------------------------
     def topological_order(self) -> list[N]:
         """Kahn's algorithm; raises :class:`GraphError` on a cycle."""
-        in_deg = {n: len(self._pred[n]) for n in self._succ}
+        # _pred and _succ always share one key order (nodes enter both
+        # together), so this walks nodes in insertion order.
+        in_deg = {n: len(p) for n, p in self._pred.items()}
         queue = deque(n for n, d in in_deg.items() if d == 0)
         order: list[N] = []
+        adjacency = self._succ
         while queue:
             node = queue.popleft()
             order.append(node)
-            for succ in self._succ[node]:
-                in_deg[succ] -= 1
-                if in_deg[succ] == 0:
+            for succ in adjacency[node]:
+                left = in_deg[succ] - 1
+                in_deg[succ] = left
+                if left == 0:
                     queue.append(succ)
         if len(order) != len(self._succ):
             raise GraphError("graph contains a cycle")
@@ -135,13 +150,13 @@ class DAG(Generic[N]):
             if node in keep:
                 out.add_node(node)
         for node in keep:
-            for succ in self._succ.get(node, []):
+            for succ in self._succ.get(node, ()):
                 if succ in keep:
                     out.add_edge(node, succ)
         return out
 
     def copy(self) -> "DAG[N]":
         out: DAG[N] = DAG()
-        out._succ = {n: list(s) for n, s in self._succ.items()}
-        out._pred = {n: list(p) for n, p in self._pred.items()}
+        out._succ = {n: dict(s) for n, s in self._succ.items()}
+        out._pred = {n: dict(p) for n, p in self._pred.items()}
         return out

@@ -12,6 +12,7 @@ class StorageActor(ServiceActor):
 
     service_methods = frozenset({
         "put_local",
+        "put_local_many",
         "ensure_free_local",
         "force_spill_local",
         "get_local",
@@ -20,6 +21,7 @@ class StorageActor(ServiceActor):
         "level_of",
         "nbytes_of_local",
         "delete_local",
+        "delete_local_many",
         "pin_local",
         "unpin_local",
         "drop_pins_local",

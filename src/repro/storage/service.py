@@ -31,7 +31,7 @@ from typing import Any
 
 from ..cluster.cluster import ClusterState
 from ..config import Config
-from ..errors import StorageKeyError
+from ..errors import StorageKeyError, WorkerOutOfMemory
 from ..utils import DedupLog, sizeof
 from .base import AccessInfo, StorageLevel, StoredItem
 from .remote import RemoteBackend
@@ -158,40 +158,49 @@ class StorageService:
         with self._lock:
             return self._get_many_locked(list(keys), requesting_worker)
 
-    def _get_many_locked(self, keys: list[str],
-                         requesting_worker: str) -> list[AccessInfo]:
-        """Grouped fetch: consecutive same-owner keys become one unit call.
+    def _get_many_locked(self, keys: list[str], requesting_worker: str,
+                         pins: dict[str, list[str]] | None = None,
+                         ) -> list[AccessInfo]:
+        """Grouped fetch: one unit message per owner worker.
 
-        Runs are *consecutive* on purpose: per-key charging order, the
-        owner's LRU touch order, and the exact position a missing key
-        raises at all match the per-key loop this replaces — only the
-        number of worker-unit messages changes.
+        Each owner gets its keys in input order, so its LRU touch order
+        matches the per-key loop this replaces; owners share no state,
+        so the order across them is free.  A missing key raises at its
+        position after exactly the keys before it were fetched and
+        charged.  ``pins`` (owner -> keys, from :meth:`_route_pins`)
+        rides along in the same message, ahead of the fetch.
         """
-        infos: list[AccessInfo] = []
+        locations = self._locations
+        infos: list[AccessInfo | None] = [None] * len(keys)
+        by_owner: dict[str, list[int]] = {}
+        missing = None
+        for i, key in enumerate(keys):
+            owner = locations.get(key)
+            if owner is None:
+                missing = key
+                break
+            if owner == REMOTE_OWNER:
+                infos[i] = self._get_locked(key, requesting_worker)
+            else:
+                by_owner.setdefault(owner, []).append(i)
+        pins = pins or {}
         penalty = self.config.cost_model.disk_penalty
-        i, n = 0, len(keys)
-        while i < n:
-            owner = self._locations.get(keys[i])
-            if owner is None or owner == REMOTE_OWNER:
-                infos.append(self._get_locked(keys[i], requesting_worker))
-                i += 1
-                continue
-            j = i + 1
-            while j < n and self._locations.get(keys[j]) == owner:
-                j += 1
-            run = keys[i:j]
-            for key, (value, nbytes, level) in zip(
-                run, self._workers[owner].get_local_many(run)
-            ):
-                transferred = nbytes if owner != requesting_worker else 0
+        for owner in {**by_owner, **pins}:
+            positions = by_owner.get(owner, ())
+            fetched = self._workers[owner].get_local_many(
+                [keys[i] for i in positions], pins.get(owner, ()))
+            remote = owner != requesting_worker
+            for i, (value, nbytes, level) in zip(positions, fetched):
+                transferred = nbytes if remote else 0
                 self._transferred_bytes += transferred
-                infos.append(AccessInfo(
+                infos[i] = AccessInfo(
                     value, nbytes, transferred_bytes=transferred,
                     tier_penalty=(penalty if level == StorageLevel.DISK
                                   else 1.0),
                     source_worker=owner,
-                ))
-            i = j
+                )
+        if missing is not None:
+            raise StorageKeyError(missing)
         return infos
 
     def acquire_many(self, keys, requesting_worker: str) -> list[AccessInfo]:
@@ -199,11 +208,13 @@ class StorageService:
 
         Pins land first — before any fetch can raise — so the caller's
         unconditional ``finally: unpin(keys)`` always balances, exactly
-        as the separate pin-then-get calls it replaces did.
+        as the separate pin-then-get calls it replaces did.  Each owner
+        gets its pins and its fetch in one unit message.
         """
         with self._lock:
-            self.pin(keys)
-            return self._get_many_locked(list(keys), requesting_worker)
+            keys = list(keys)
+            return self._get_many_locked(keys, requesting_worker,
+                                         self._route_pins(keys))
 
     def _get_locked(self, key: str, requesting_worker: str,
                     touch_lru: bool = True) -> AccessInfo:
@@ -275,17 +286,20 @@ class StorageService:
         the matching unpin reaches the same worker.
         """
         with self._lock:
-            by_worker: dict[str, list[str]] = {}
-            for key in keys:
-                owner = self._locations.get(key)
-                worker = owner if owner else None
-                if worker is not None:
-                    by_worker.setdefault(worker, []).append(key)
-                self._pin_routes.setdefault(key, []).append(worker)
             # pins are counters, so one grouped message per owner worker
             # is state-identical to the per-key calls it replaces.
-            for worker, worker_keys in by_worker.items():
+            for worker, worker_keys in self._route_pins(keys).items():
                 self._workers[worker].pin_local(worker_keys)
+
+    def _route_pins(self, keys) -> dict[str, list[str]]:
+        """Record one pin route per key; returns owner -> keys to pin."""
+        by_worker: dict[str, list[str]] = {}
+        for key in keys:
+            worker = self._locations.get(key) or None
+            if worker is not None:
+                by_worker.setdefault(worker, []).append(key)
+            self._pin_routes.setdefault(key, []).append(worker)
+        return by_worker
 
     def unpin(self, keys) -> None:
         """Release one pin level on each of ``keys``."""
@@ -347,10 +361,13 @@ class StorageService:
                  dedup_token: Any = None) -> list[int]:
         """Batched :meth:`put`: ``entries`` is ``(key, value, nbytes)``.
 
-        One message stores a subtask's whole output set; each entry goes
-        through the same put path (delete-if-exists, spill-or-raise, pin
-        migration) in order, so worker state after the batch is exactly
-        what the per-key puts would leave.
+        One message stores a subtask's whole output set: runs of fresh
+        keys go to ``worker``'s unit as one ``put_local_many``.  A key
+        that needs more than a plain store — already located
+        (delete-then-reput) or pinned (pin migration) — splits the run
+        and takes the single-put path, so entries apply in order and
+        worker state after the batch is exactly what the per-key puts
+        would leave, including the prefix stored before an OOM.
 
         Idempotent under at-least-once delivery: a redelivered message
         (same ``dedup_token``) returns the memoized sizes without
@@ -360,18 +377,53 @@ class StorageService:
             seen, memo = self._dedup.check(dedup_token)
             if seen:
                 return memo
-            sizes = [
-                self.put(key, value, worker, nbytes=nbytes)
-                for key, value, nbytes in entries
-            ]
+            sizes: list[int] = []
+            run: dict[str, tuple] = {}
+            for key, value, nbytes in entries:
+                if nbytes is None:
+                    nbytes = sizeof(value)
+                if (key in self._locations or key in run
+                        or self._pin_routes.get(key)):
+                    self._put_run(run, worker)
+                    run = {}
+                    self.put(key, value, worker, nbytes=nbytes)
+                else:
+                    run[key] = (key, value, nbytes)
+                sizes.append(nbytes)
+            self._put_run(run, worker)
             self._dedup.record(dedup_token, sizes)
             return sizes
 
+    def _put_run(self, run: dict[str, tuple], worker: str) -> None:
+        """Store fresh, unpinned keys on ``worker`` in one unit message."""
+        if not run:
+            return
+        try:
+            self._workers[worker].put_local_many(list(run.values()))
+        except WorkerOutOfMemory as exc:
+            for key in list(run)[:exc.stored]:
+                self._locations[key] = worker
+            raise
+        for key in run:
+            self._locations[key] = worker
+
     def delete_many(self, keys) -> None:
-        """Batched :meth:`delete` (refcount frees arrive in bulk)."""
+        """Batched :meth:`delete`: one unit message per owner worker.
+
+        Refcount frees arrive in bulk; each owner's keys are freed in
+        input order, and owners share no state.
+        """
         with self._lock:
+            by_owner: dict[str, list[str]] = {}
             for key in keys:
-                self.delete(key)
+                owner = self._locations.get(key)
+                if owner == REMOTE_OWNER:
+                    self.delete(key)
+                elif owner is not None:
+                    del self._locations[key]
+                    by_owner.setdefault(owner, []).append(key)
+            for owner, owner_keys in by_owner.items():
+                self._workers[owner].delete_local_many(owner_keys)
 
     def location_of(self, key: str) -> tuple[str, StorageLevel]:
         with self._lock:
@@ -443,8 +495,7 @@ class StorageService:
 
     def clear(self) -> None:
         with self._lock:
-            for key in list(self._locations):
-                self.delete(key)
+            self.delete_many(list(self._locations))
             self._pin_routes.clear()
             for unit in self._workers.values():
                 unit.clear_pins_local()

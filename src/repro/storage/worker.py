@@ -64,6 +64,24 @@ class WorkerStorage:
         self._lru[key] = None
         return nbytes
 
+    def put_local_many(self, entries) -> None:
+        """Batched memory-tier :meth:`put_local` over ``(key, value,
+        nbytes)`` entries.
+
+        Entries are stored one by one in order, so every spill decision
+        sees the state the per-key messages saw.  When an entry does not
+        fit, the :class:`WorkerOutOfMemory` raised carries ``stored``:
+        how many leading entries were stored before it.
+        """
+        stored = 0
+        try:
+            for key, value, nbytes in entries:
+                self.put_local(key, value, nbytes)
+                stored += 1
+        except WorkerOutOfMemory as exc:
+            exc.stored = stored
+            raise
+
     def ensure_free_local(self, nbytes: int) -> None:
         """Spill until ``nbytes`` can be allocated here (or raise)."""
         self._spill_until_fits(nbytes)
@@ -131,12 +149,17 @@ class WorkerStorage:
             raise StorageKeyError(key) from None
         return item.value, item.nbytes, StorageLevel.DISK
 
-    def get_local_many(self, keys) -> list[tuple[Any, int, StorageLevel]]:
-        """Batched :meth:`get_local`: one message per owner-run of keys.
+    def get_local_many(self, keys,
+                       pin_keys=()) -> list[tuple[Any, int, StorageLevel]]:
+        """Batched :meth:`get_local`, after pinning ``pin_keys``.
 
-        LRU touches happen in key order, matching the per-key calls the
-        router's grouped ``get_many`` replaces.
+        The router sends one of these per owner worker: LRU touches
+        happen in key order, matching the per-key calls it replaces, and
+        folding the subtask's pins in saves the separate pin message
+        (pins only guard spill victims, so pinning first is exact).
         """
+        if pin_keys:
+            self.pin_local(pin_keys)
         return [self.get_local(key) for key in keys]
 
     def value_of(self, key: str) -> Any:
@@ -164,6 +187,11 @@ class WorkerStorage:
             self._disk.delete(key)
         except KeyError:
             pass
+
+    def delete_local_many(self, keys) -> None:
+        """Batched :meth:`delete_local` (refcount frees arrive in bulk)."""
+        for key in keys:
+            self.delete_local(key)
 
     # -- pinning ----------------------------------------------------------
     def pin_local(self, keys) -> None:

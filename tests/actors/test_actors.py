@@ -128,9 +128,48 @@ class TestLog:
 
         log = MessageLog(capacity=5)
         for i in range(10):
-            log.record(Message("a", "b", f"m{i}"))
-        assert len(log.recent(100)) == 5
+            log.record("a", "b", f"m{i}")
+        recent = log.recent(100)
+        assert len(recent) == 5
         assert log.total_delivered == 10
+        assert [m.method for m in recent] == [f"m{i}" for i in range(5, 10)]
+        assert [m.seq for m in recent] == list(range(6, 11))
+        assert all(isinstance(m, Message) for m in recent)
+        # counts survive trimming.
+        assert log.count_for("b") == 10
+        assert log.edge_counts() == {("a", "b"): 10}
+
+    def test_concurrent_records_lose_no_count(self):
+        import sys
+        import threading
+
+        from repro.actors import MessageLog
+
+        log = MessageLog(capacity=50)
+        n_threads, per_thread = 8, 2_000
+
+        def worker(i):
+            for j in range(per_thread):
+                log.record(f"s{i}", f"r{j % 3}", "m")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = n_threads * per_thread
+        assert log.total_delivered == total
+        assert sum(log.recipient_counts().values()) == total
+        assert sum(log.method_counts().values()) == total
+        seqs = [m.seq for m in log.recent(50)]
+        assert seqs == list(range(total - 49, total + 1))
 
     def test_invalid_capacity(self):
         from repro.actors import MessageLog

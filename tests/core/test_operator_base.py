@@ -12,6 +12,7 @@ from repro.core.operator import (
 )
 from repro.config import Config
 from repro.core.meta import MetaService
+from repro.engine.base import is_multi_output
 from repro.graph.entity import ChunkData, TileableData
 
 
@@ -46,6 +47,18 @@ class TestGraphConstruction:
         out = op.new_chunk([dep], "tensor", (3,), (0,))
         assert out.index == (0,)
         assert out.inputs == [dep]
+
+    def test_multi_output_convention(self):
+        op = AddOp()
+        first, second = op.new_tileables([], [
+            {"kind": "tensor", "shape": (2,)},
+            {"kind": "tensor", "shape": (2,)},
+        ])
+        assert is_multi_output(op, {first.key: 1, second.key: 2})
+        assert is_multi_output(op, {second.key: 2})
+        assert not is_multi_output(op, {first.key: 1, "other": 2})
+        assert not is_multi_output(op, {})
+        assert not is_multi_output(op, [first.key])
 
     def test_copy_with_merges_params(self):
         op = AddOp(a=1, b=2)

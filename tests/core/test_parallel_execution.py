@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from repro.config import Config
 from repro.core import Session
 from repro.core.dispatch import BandDispatcher, shared_pool, should_use_parallel
-from repro.storage.service import StorageService
+from repro.storage.worker import WorkerStorage
 from repro import frame as pf
 from repro.dataframe import from_frame
 from repro.tensor import rand
@@ -76,15 +76,18 @@ class TestWideFanout:
         assert parallel_report == serial_report
 
     def test_refcount_frees_each_key_exactly_once(self, monkeypatch):
+        # counted at the worker unit: every free — single or batched
+        # through the router's per-owner delete_local_many — lands here
+        # once per key.
         removed: Counter = Counter()
-        original_delete = StorageService.delete
+        original_delete = WorkerStorage.delete_local
 
         def counting_delete(self, key):
-            if self.contains(key):
+            if key in self.keys_local():
                 removed[key] += 1
             original_delete(self, key)
 
-        monkeypatch.setattr(StorageService, "delete", counting_delete)
+        monkeypatch.setattr(WorkerStorage, "delete_local", counting_delete)
         with make_session(parallel=True) as session:
             t = rand(*WIDE_SHAPE, seed=7, session=session)
             result = (t * 2.0 + 1.0).sum()

@@ -126,6 +126,18 @@ class TestMetaService:
         assert meta_from_value(np.zeros((2, 3))).shape == (2, 3)
         assert meta_from_value(42).kind == "scalar"
 
+    def test_set_from_values_takes_the_charged_size(self):
+        """The executor passes the size storage already charged; the
+        meta records it instead of sizing the value a second time."""
+        df = DataFrame({"a": [1, 2], "b": ["x", "y"]})
+        service = MetaService()
+        service.set_from_values([("charged", df, None, 12345),
+                                 ("measured", df, {"r": 1}, None)])
+        assert service.get("charged").nbytes == 12345
+        assert service.get("measured").nbytes == meta_from_value(df).nbytes
+        assert service.get("measured").extra == {"r": 1}
+        assert service.get("charged").columns == ["a", "b"]
+
     def test_set_get_require(self):
         service = MetaService()
         service.set_from_value("k", np.zeros(4))

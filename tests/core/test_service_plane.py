@@ -18,8 +18,10 @@ Three pillars:
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import types
 
 import pytest
 from tests.core.golden_harness import (
@@ -147,6 +149,53 @@ class TestMessageTrace:
         # shuffle-map outputs register through the coordinator.
         session_uid = session_actor_uid(session.session_id)
         assert (session_uid, SHUFFLE_UID) in edges
+
+
+def _reachable_from(root) -> list:
+    """Every object reachable from ``root``, not descending into code.
+
+    Types, modules and functions are skipped: they lead to the whole
+    interpreter, and a payload retained by the log would have to hang
+    off its instance state anyway.
+    """
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType, types.CodeType)
+    seen: set[int] = set()
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestMessageLogRetainsNoPayload:
+    def test_no_chunk_value_reachable_after_close(self):
+        """The log keeps counters and call rows, never ``args``: after
+        q5 and ``close()`` no frame or array is reachable from it, so
+        chunk values freed by storage are really freed."""
+        import numpy as np
+
+        from repro.frame import DataFrame, Series
+
+        _, overrides = WORKLOADS["tpch_q5"]
+        with make_session(parallel=False, **overrides) as session:
+            tpch_q5(session)
+            log = session.cluster.actor_system.log
+        assert log.total_delivered > 0
+        payloads = [obj for obj in _reachable_from(log)
+                    if isinstance(obj, (DataFrame, Series, np.ndarray))]
+        assert not payloads, (
+            f"message log retains {len(payloads)} chunk values, e.g. "
+            f"{type(payloads[0]).__name__}"
+        )
+        # the window still answers who-called-what.
+        recent = log.recent(5)
+        assert len(recent) == 5
+        assert all(m.args == () and m.kwargs == {} for m in recent)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,10 @@ class TestMeta:
         assert fields["nbytes"] == describe_value(frame, {})["nbytes"]
         assert fields["nbytes"] > phys.nbytes  # dictionary win is physical
         assert fields["shape"] == phys.shape
+        # a charged (physical) size passed in never overrides the
+        # describer's logical size.
+        assert describe_value(phys, {}, phys.nbytes)["nbytes"] == \
+            fields["nbytes"]
 
     def test_describe_columnar_series(self):
         phys = COLUMNAR_ENGINE.persist(

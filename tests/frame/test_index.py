@@ -7,6 +7,7 @@ from repro.frame.index import (
     Index,
     MultiIndex,
     RangeIndex,
+    concat_indexes,
     default_index,
     ensure_index,
 )
@@ -161,3 +162,66 @@ class TestHelpers:
         assert ensure_index([1, 2]).to_list() == [1, 2]
         with pytest.raises(ValueError):
             ensure_index(None)
+
+
+def _pairwise(indexes):
+    """The reference: a left fold of ``Index.append``."""
+    out = indexes[0]
+    for ix in indexes[1:]:
+        out = out.append(ix)
+    return out
+
+
+def _typed(index):
+    return [(type(v), v) for v in index.to_list()]
+
+
+DAY = np.datetime64("2024-01-01", "ns")
+
+
+class TestConcatIndexes:
+    @pytest.mark.parametrize("pieces", [
+        [Index([1, 2]), Index([2.5])],                       # int + float
+        [RangeIndex(3), Index([7, 8]), RangeIndex(2)],
+        [Index(["a"]), Index([1, 2])],                       # object
+        [Index([1]), Index([0.5]), Index(["x"])],            # widen twice
+        [Index(np.array([DAY, DAY])), Index([3])],          # datetime + int
+        [Index(np.array([DAY])), Index(np.array([DAY]))],
+        [Index([True]), Index([1]), Index([1.5])],
+        [Index(np.array([1], dtype=np.int8)),
+         Index(np.array([200], dtype=np.uint8))],
+    ])
+    def test_matches_pairwise_append(self, pieces):
+        expected = _pairwise(pieces)
+        actual = concat_indexes(pieces)
+        assert type(actual) is type(expected)
+        assert actual.dtype == expected.dtype
+        assert _typed(actual) == _typed(expected)
+        assert actual.name == expected.name
+
+    @pytest.mark.parametrize("names", [
+        ("k", "k", "k"),
+        ("k", "j", "k"),
+        ("k", None, "k"),
+        (None, None, None),
+        (None, "k", "k"),
+    ])
+    def test_name_kept_only_when_shared(self, names):
+        pieces = [Index([i], name=name) for i, name in enumerate(names)]
+        assert concat_indexes(pieces).name == _pairwise(pieces).name
+        shared = len(set(names)) == 1
+        assert concat_indexes(pieces).name == (names[0] if shared else None)
+
+    def test_single_piece_is_returned_as_is(self):
+        idx = RangeIndex(4)
+        assert concat_indexes([idx]) is idx
+
+    def test_multiindex_pieces(self):
+        left = MultiIndex([(1, "a")], names=["n", "s"])
+        right = MultiIndex([(2, "b")], names=["n", "s"])
+        for pieces in ([left, right], [left, Index([5])],
+                       [Index([5]), left]):
+            out = concat_indexes(pieces)
+            expected = _pairwise(pieces)
+            assert type(out) is type(expected)
+            assert out.to_list() == expected.to_list()

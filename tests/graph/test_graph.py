@@ -51,6 +51,22 @@ class TestDAG:
         g.add_edge("a", "b")
         assert g.edge_count() == 1
 
+    def test_adjacency_keeps_insertion_order(self):
+        """Neighbours, nodes and the topological order follow the order
+        edges were added — plan construction depends on it."""
+        g = DAG()
+        for src, dst in [("r", "z"), ("r", "b"), ("q", "b"), ("r", "m"),
+                         ("r", "b"), ("q", "a"), ("z", "a")]:
+            g.add_edge(src, dst)
+        assert g.nodes() == ["r", "z", "b", "q", "m", "a"]
+        assert g.successors("r") == ["z", "b", "m"]
+        assert g.predecessors("b") == ["r", "q"]
+        assert g.predecessors("a") == ["q", "z"]
+        assert g.topological_order() == ["r", "q", "z", "m", "b", "a"]
+        g.remove_node("b")
+        assert g.successors("r") == ["z", "m"]
+        assert g.copy().successors("r") == ["z", "m"]
+
     def test_topological_order(self):
         g = DAG()
         g.add_edge("a", "b")
