@@ -19,20 +19,15 @@ from repro.workloads.tpch import ALL_QUERIES, QUERY_FEATURES, generate_tables
 from repro.workloads.tpch.dbgen import dataset_bytes
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MiB = 1024 * 1024
 
 
 def save_bench_json(filename: str, payload: dict) -> None:
-    """Persist a ``BENCH_*.json`` under ``benchmarks/results/`` *and* at
-    the repo root — the perf-trajectory location the ROADMAP cites."""
+    """Persist a ``BENCH_*.json`` under ``benchmarks/results/``."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    text = json.dumps(payload, indent=2) + "\n"
-    for path in (os.path.join(RESULTS_DIR, filename),
-                 os.path.join(REPO_ROOT, filename)):
-        with open(path, "w") as f:
-            f.write(text)
+    with open(os.path.join(RESULTS_DIR, filename), "w") as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass

@@ -202,13 +202,6 @@ class Config:
     #: the numexpr-style single pass of Section V-A). Off falls back to
     #: interpreting the fused step one operator at a time.
     compiled_fusion: bool = True
-    #: physical chunk representation (``repro.engine`` registry key):
-    #: "row" keeps chunks as ``repro.frame`` containers (bit-identical
-    #: to the pre-seam engine and the golden scenarios); "columnar"
-    #: stores per-column contiguous arrays with dictionary-encoded
-    #: string columns — value-identical results, fewer shuffle bytes on
-    #: low-cardinality string keys, byte counters reported per-engine.
-    chunk_engine: str = "row"
     #: array-at-a-time partition kernels for the shuffle data plane
     #: (hash/range partition ids + single-sweep chunk splitting). Off
     #: selects the scalar per-row reference path, which produces

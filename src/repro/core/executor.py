@@ -36,27 +36,16 @@ from ..errors import (
     WorkerOutOfMemory,
     WorkerProcessCrash,
 )
-from ..engine.base import (
-    compiled_fusion_enabled,
-    engine_of,
-    is_multi_output,
-    persist_result,
-)
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData
 from ..graph.identity import compute_chunk_identities
 from ..graph.subtask import Subtask, build_subtask_graph
-from ..services.cache import ResultCacheService
-from ..services.lifecycle import LifecycleService
-from ..services.runner import SubtaskRunner
-from ..services.scheduling import SchedulingService
 from ..utils import sizeof
 from .dispatch import BandDispatcher, SubtaskComputation, should_use_parallel
 from .fusion import fusion_groups, singleton_groups
 from .memory_control import worker_of_band
-from .operator import COMBINE_DROPPED_KEY, ExecContext
+from .operator import COMBINE_DROPPED_KEY, ExecContext, is_multi_output
 from .opfusion import compile_step, plan_subtask, step_io_keys
-from .scheduler import Scheduler
 from .supervision import SpeculationController
 
 #: failures the retry loop re-attempts; anything else (kernel bugs, OOM
@@ -84,49 +73,28 @@ class GraphExecutor:
     """Executes chunk graphs against one cluster + storage + meta state."""
 
     def __init__(self, cluster: ClusterState, storage: Any,
-                 meta: Any, config: Config,
-                 scheduler: Any = None,
-                 shuffle: Any = None,
-                 lifecycle: Any = None,
-                 cache: Any = None,
-                 runners: dict[str, Any] | None = None):
-        """``storage``/``meta``/``scheduler``/``shuffle``/``lifecycle``
-        are *service handles*: plain service objects (legacy direct
-        construction) or actor refs (the deployed service plane) — the
+                 meta: Any, config: Config, *,
+                 scheduler: Any, shuffle: Any, lifecycle: Any, cache: Any,
+                 runners: dict[str, Any]):
+        """Every service argument is a *service handle*: a plain service
+        object or an actor ref (the deployed service plane) — the
         executor only calls methods on them, so both work identically.
         """
         self.cluster = cluster
         self.storage = storage
         self.meta = meta
         self.config = config
-        #: optional shuffle index: shuffle-map output chunks register here
-        #: as ``(shuffle_id, reducer)`` partitions when stored.
+        #: shuffle index: shuffle-map output chunks register here as
+        #: ``(shuffle_id, reducer)`` partitions when stored.
         self.shuffle = shuffle
         #: the scheduling service: placement, band load, memory admission.
-        #: A bare placement ``Scheduler`` (legacy callers) is wrapped into
-        #: a full service with its own pressure subsystem.
-        if scheduler is None or isinstance(scheduler, Scheduler):
-            self.scheduling = SchedulingService.create(
-                cluster, config, meta, storage, scheduler=scheduler,
-            )
-        else:
-            self.scheduling = scheduler
+        self.scheduling = scheduler
         #: the result cache: structural identity -> stored chunk key.
-        self.cache = (
-            cache if cache is not None
-            else ResultCacheService(storage, config)
-        )
+        self.cache = cache
         #: the lifecycle service: chunk refcounts, terminal flags, lineage.
-        self.lifecycle = (
-            lifecycle if lifecycle is not None
-            else LifecycleService(storage, shuffle, config, cache=self.cache)
-        )
-        #: band name -> subtask runner handle (the compute phase). Legacy
-        #: constructions get plain in-process runners.
-        self.runners = runners if runners is not None else {
-            band.name: SubtaskRunner(band.name, storage, config)
-            for band in cluster.bands
-        }
+        self.lifecycle = lifecycle
+        #: band name -> subtask runner handle (the compute phase).
+        self.runners = runners
         #: completion virtual time of every produced chunk key.
         self.chunk_ready_at: dict[str, float] = {}
         #: failed-attempt counters keyed by the structural identity
@@ -181,7 +149,7 @@ class GraphExecutor:
         self.speculation = (
             SpeculationController(config.speculation_multiplier,
                                   config.speculation_min_seconds)
-            if getattr(config, "speculation", False) else None
+            if config.speculation else None
         )
         #: duplicate dispatches fired across this executor's stages.
         self.speculative_subtasks = 0
@@ -215,7 +183,7 @@ class GraphExecutor:
         """This tenant's per-worker admission byte cap, or ``None``."""
         if not self.multi_tenant:
             return None
-        frac = float(getattr(self.config, "tenant_memory_quota", 0.0) or 0.0)
+        frac = float(self.config.tenant_memory_quota)
         if frac <= 0.0:
             return None
         return max(1, int(frac * tracker.limit))
@@ -389,8 +357,7 @@ class GraphExecutor:
 
     # -- result cache ---------------------------------------------------
     def _cache_enabled(self) -> bool:
-        return self.cache is not None and bool(
-            getattr(self.config, "result_cache", False))
+        return bool(self.config.result_cache)
 
     def _apply_cache(self, chunk_graph: DAG[ChunkData]):
         """The cache-lookup + graph-pruning pass (planning time).
@@ -459,7 +426,7 @@ class GraphExecutor:
         tiling yield demanded, which the next run's tiling pass will
         demand again at the same structural position.
         """
-        auto = bool(getattr(self.config, "result_cache_auto", True))
+        auto = bool(self.config.result_cache_auto)
         for chunk in subtask.chunks:
             key = chunk.key
             if key not in stored_by_key:
@@ -943,8 +910,7 @@ class GraphExecutor:
             # as locals of the generated function, so they no longer
             # inflate the transient working-set peak.
             compiled = (
-                compile_step(step)
-                if compiled_fusion_enabled(self.config) else None
+                compile_step(step) if self.config.compiled_fusion else None
             )
             if compiled is not None:
                 final_op = compiled.final_op
@@ -973,12 +939,7 @@ class GraphExecutor:
                     executed_ops.add(id(op))
                     if computed is None:
                         ctx = ExecContext(env, self.config)
-                        # same persist the runners apply: the env (and
-                        # with it sized(), storage, shuffle accounting)
-                        # only ever sees physical values.
-                        result = persist_result(
-                            engine_of(self.config), op, op.execute(ctx)
-                        )
+                        result = op.execute(ctx)
                         extra_meta = ctx.extra_meta
                     else:
                         result = computed.op_results[id(op)]
@@ -1065,14 +1026,12 @@ class GraphExecutor:
         tracker.note_transient(working_set)
 
         # -- store outputs ------------------------------------------------------
-        shuffle_chunks: dict[str, Any] = {}
-        if self.shuffle is not None:
-            shuffle_chunks = {
-                c.key: c for c in subtask.chunks
-                if c.op is not None and c.op.is_shuffle_map
-                and getattr(c.op, "shuffle_id", None) is not None
-                and len(c.index) >= 2
-            }
+        shuffle_chunks = {
+            c.key: c for c in subtask.chunks
+            if c.op is not None and c.op.is_shuffle_map
+            and getattr(c.op, "shuffle_id", None) is not None
+            and len(c.index) >= 2
+        }
         # outputs go out in three batched messages — all puts, then all
         # shuffle registrations, then all meta records. Each put still
         # walks the full single-put path in key order (delete-if-exists,

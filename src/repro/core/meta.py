@@ -13,7 +13,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..engine.base import describe_value
+import numpy as np
+
+from ..engine.local import DataFrame, Series
+from ..utils import sizeof
 
 
 @dataclass
@@ -29,14 +32,37 @@ class ChunkMeta:
     extra: dict = field(default_factory=dict)
 
 
+def describe_value(value: Any, extra: dict | None = None,
+                   nbytes: int | None = None) -> dict:
+    """Schema facts of an executed chunk value.
+
+    Returns the field dict of a :class:`ChunkMeta`
+    (shape/nbytes/kind/dtype/columns/extra).  Callers that already
+    charged the value's ``sizeof`` pass it as ``nbytes`` to skip a
+    second recursive sizing.
+    """
+    extra = dict(extra or {})
+    if nbytes is None:
+        nbytes = sizeof(value)
+    if isinstance(value, DataFrame):
+        return dict(shape=value.shape, nbytes=nbytes, kind="dataframe",
+                    columns=list(value._columns), extra=extra)
+    if isinstance(value, Series):
+        return dict(shape=value.shape, nbytes=nbytes, kind="series",
+                    dtype=value.dtype, extra=extra)
+    if isinstance(value, np.ndarray):
+        return dict(shape=value.shape, nbytes=nbytes, kind="tensor",
+                    dtype=value.dtype, extra=extra)
+    if isinstance(value, (list, tuple, dict)):
+        return dict(shape=(), nbytes=nbytes, kind="scalar", extra=extra)
+    return dict(shape=(), nbytes=nbytes, kind="scalar",
+                dtype=getattr(value, "dtype", None), extra=extra)
+
+
 def meta_from_value(value: Any, extra: dict | None = None,
                     nbytes: int | None = None) -> ChunkMeta:
     """Derive a :class:`ChunkMeta` from an executed chunk's value.
 
-    Dispatches through the engine seam (``repro.engine``): chunk values
-    are physical, and each backend registers describers for its own
-    types — a columnar chunk reports its dictionary-encoded byte size,
-    which is what storage budgets and footprint EWMAs must see.
     ``nbytes`` is the value's already-charged ``sizeof``, when known.
     """
     return ChunkMeta(**describe_value(value, extra, nbytes))

@@ -16,7 +16,6 @@ import inspect
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..config import Config
-from ..engine.base import engine_of
 from ..graph.entity import ChunkData, TileableData
 
 if TYPE_CHECKING:
@@ -71,9 +70,7 @@ class TileContext:
         if not self._storage.contains(chunk_key) and self._recoverable(
                 chunk_key):
             self._executor.ensure_available([chunk_key])
-        # storage holds physical (engine-encoded) values; sampling code
-        # reasons about logical frames, so decode on the way out.
-        return engine_of(self.config).compute(self._storage.peek(chunk_key))
+        return self._storage.peek(chunk_key)
 
     def chunk_meta(self, chunk: ChunkData) -> Optional[ChunkMeta]:
         return self.meta.get(chunk.key)
@@ -119,25 +116,16 @@ class ExecContext:
     """What an operator sees while executing on a worker.
 
     ``get`` returns input chunk values (already fetched from storage by
-    the executor) decoded to *logical* frames — the environment holds
-    whatever physical form ``Config.chunk_engine`` selected, but kernels
-    always compute on ``repro.frame`` containers. ``get_physical`` hands
-    out the raw stored value for kernels that partition/split through
-    the engine without materializing rows. ``extra_meta`` lets operators
-    attach sampling facts (e.g. pre/post aggregation sizes) that dynamic
-    tiling reads later.
+    the executor). ``extra_meta`` lets operators attach sampling facts
+    (e.g. pre/post aggregation sizes) that dynamic tiling reads later.
     """
 
     def __init__(self, values: dict[str, Any], config: Config):
         self._values = values
         self.config = config
-        self.engine = engine_of(config)
         self.extra_meta: dict[str, dict] = {}
 
     def get(self, key: str) -> Any:
-        return self.engine.compute(self._values[key])
-
-    def get_physical(self, key: str) -> Any:
         return self._values[key]
 
     def has(self, key: str) -> bool:
@@ -145,6 +133,16 @@ class ExecContext:
 
     def annotate(self, chunk_key: str, **extra: Any) -> None:
         self.extra_meta.setdefault(chunk_key, {}).update(extra)
+
+
+def is_multi_output(op, result: Any) -> bool:
+    """Whether ``result`` follows the multi-output convention.
+
+    That is a non-empty ``{chunk_key: value}`` dict keyed only by
+    ``op``'s own output keys; anything else is ``op``'s single output.
+    """
+    return (isinstance(result, dict) and bool(result)
+            and {o.key for o in op.outputs}.issuperset(result))
 
 
 class Operator:
@@ -301,6 +299,4 @@ class FetchOp(Operator):
         self.source_key = source_key
 
     def execute(self, ctx: ExecContext) -> Any:
-        # pass the stored value through physically: decoding here would
-        # make the subsequent persist a decode/re-encode round-trip.
-        return ctx.get_physical(self.source_key)
+        return ctx.get(self.source_key)

@@ -59,7 +59,6 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import Any
 
-from ..engine.base import engine_of
 from ..errors import WorkerProcessCrash
 
 try:  # the kernels close over lambdas; plain pickle cannot ship those
@@ -68,24 +67,6 @@ except ImportError:  # pragma: no cover - baked into the image
     _pickler = pickle
 
 PROTOCOL = 5
-
-
-def _wire_map(value: Any, fn, memo: dict) -> Any:
-    """Map ``fn`` over a chunk value (or a multi-output dict of them).
-
-    ``memo`` keeps identity sharing intact: the same physical object
-    appearing in both ``op_results`` and ``outputs`` maps to the *same*
-    wire object, so one pickle memoizes it once and the other side
-    reconstructs one shared value — exactly the identity the in-process
-    paths have.
-    """
-    if isinstance(value, dict):
-        return {k: _wire_map(v, fn, memo) for k, v in value.items()}
-    mapped = memo.get(id(value))
-    if mapped is None:
-        mapped = fn(value)
-        memo[id(value)] = mapped
-    return mapped
 
 
 def iter_subtask_ops(subtask) -> list:
@@ -249,18 +230,11 @@ def _worker_run(payload):
     (subtask, inputs, config), in_shm = decode_payload(payload, child=True)
     if in_shm is not None:
         _worker_arena.adopt(in_shm)
-    engine = engine_of(config)
-    memo: dict = {}
-    inputs = {
-        key: _wire_map(value, engine.from_wire, memo)
-        for key, value in inputs.items()
-    }
     record = run_subtask_kernels(subtask, inputs, config)
     ops = iter_subtask_ops(subtask)
-    memo = {}
     result = {
         "op_results": {
-            index: _wire_map(record.op_results[id(op)], engine.to_wire, memo)
+            index: record.op_results[id(op)]
             for index, op in enumerate(ops)
             if id(op) in record.op_results
         },
@@ -269,10 +243,7 @@ def _worker_run(payload):
             for index, op in enumerate(ops)
             if id(op) in record.op_extra_meta
         },
-        "outputs": {
-            key: _wire_map(value, engine.to_wire, memo)
-            for key, value in record.outputs.items()
-        },
+        "outputs": record.outputs,
     }
     out_payload, out_shm = encode_payload(
         result, config.procpool_inline_threshold, child=True,
@@ -360,14 +331,8 @@ class ProcPoolClient:
         """
         from .dispatch import SubtaskComputation
 
-        engine = engine_of(config)
-        memo: dict = {}
-        wire_inputs = {
-            key: _wire_map(value, engine.to_wire, memo)
-            for key, value in inputs.items()
-        }
         payload, in_shm = encode_payload(
-            (subtask, wire_inputs, config), config.procpool_inline_threshold,
+            (subtask, inputs, config), config.procpool_inline_threshold,
         )
         executor = self._ensure_executor()
         try:
@@ -387,17 +352,12 @@ class ProcPoolClient:
         if out_shm is not None:
             self._arena.adopt(out_shm)
         ops = iter_subtask_ops(subtask)
-        memo = {}
         op_results = {
-            id(ops[index]): _wire_map(value, engine.from_wire, memo)
+            id(ops[index]): value
             for index, value in result["op_results"].items()
         }
         op_extra = {
             id(ops[index]): value
             for index, value in result["op_extra"].items()
         }
-        outputs = {
-            key: _wire_map(value, engine.from_wire, memo)
-            for key, value in result["outputs"].items()
-        }
-        return SubtaskComputation(op_results, op_extra, outputs)
+        return SubtaskComputation(op_results, op_extra, result["outputs"])

@@ -33,7 +33,6 @@ import numpy as np
 from ..actors import Actor
 from ..cluster.cluster import SUPERVISOR_ADDRESS, ClusterState
 from ..config import Config, default_config
-from ..engine.base import engine_of
 from ..engine.local import DataFrame, Series, concat
 from ..errors import ActorError, SessionError, WorkerOutOfMemory
 from ..graph.dag import DAG
@@ -332,11 +331,8 @@ class SessionActor(Actor):
         self.executor.ensure_available(
             [chunk.key for chunk in tileable.chunks]
         )
-        # storage holds physical chunk values; assembly (and the user)
-        # work on logical frames, so decode through the session's engine.
-        engine = engine_of(self.config)
         values = {
-            chunk.index: engine.compute(self.services.storage.peek(chunk.key))
+            chunk.index: self.services.storage.peek(chunk.key)
             for chunk in tileable.chunks
         }
         return assemble(tileable.kind, values)
@@ -447,7 +443,7 @@ class Session:
         if not self._owns_cluster:
             self.scheduler.register_tenant(
                 self.session_id,
-                float(getattr(self.config, "tenant_weight", 1.0)))
+                float(self.config.tenant_weight))
         self._actor_ref = self.cluster.actor_system.create_actor(
             SUPERVISOR_ADDRESS, SessionActor, self.session_id, self.cluster,
             self.config, services, owns_cluster=self._owns_cluster,

@@ -36,6 +36,7 @@ from ..core.operator import (
 from ..engine.local import DataFrame, _how_name, concat
 from ..graph.entity import ChunkData
 from ..utils import batched, new_key
+from .partition import assign_range_partitions, split_by_assignment
 from .utils import chunk_index, spread_sample
 
 #: aggregations this operator can decompose for distributed execution.
@@ -422,29 +423,24 @@ class GroupByPartition(Operator):
         self.shuffle_id = shuffle_id
 
     def execute(self, ctx: ExecContext):
-        engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        frame = ctx.get(self.inputs[0].key)
         # mapper-side combine: auto merge glues map partials together
         # *without* re-aggregating, so a merged chunk carries duplicate
         # group keys. Folding them here — before the partitions hit
         # storage — shrinks shuffle bytes with key cardinality.
         if (self.plan is not None and ctx.config.mapper_side_combine
-                and len(value) > 0):
-            frame = engine.compute(value)
+                and len(frame) > 0):
             combined = merge_partial_frames([frame], self.by, self.plan)
             dropped = len(frame) - len(combined)
             if dropped > 0:
                 ctx.annotate(self.outputs[0].key,
                              **{COMBINE_DROPPED_KEY: dropped})
-                value = engine.persist(combined)
+                frame = combined
         vectorized = ctx.config.vectorized_shuffle
-        # partition/split run on the physical chunk: the columnar
-        # backend assigns over dictionary categories and gathers int32
-        # codes, never materializing rows.
-        assignment = engine.range_partition(
-            value, self.by[0], self.boundaries, vectorized=vectorized
+        assignment = assign_range_partitions(
+            frame[self.by[0]].values, self.boundaries, vectorized=vectorized
         )
-        parts = engine.split(
-            value, assignment, self.n_reducers, vectorized=vectorized
+        parts = split_by_assignment(
+            frame, assignment, self.n_reducers, vectorized=vectorized
         )
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}

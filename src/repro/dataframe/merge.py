@@ -23,6 +23,11 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import DataFrame, concat, merge as frame_merge
 from ..graph.entity import ChunkData
 from ..utils import new_key
+from .partition import (
+    assign_hash_partitions,
+    assign_range_partitions,
+    split_by_assignment,
+)
 from .utils import ConcatChunks, chunk_index, nsplits_from_chunks, spread_sample
 
 
@@ -246,19 +251,19 @@ class MergePartition(Operator):
         self.shuffle_id = shuffle_id
 
     def execute(self, ctx: ExecContext):
-        engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        frame = ctx.get(self.inputs[0].key)
+        keys = frame[self.key].values
         vectorized = ctx.config.vectorized_shuffle
         if self.hash_mode:
-            assignment = engine.hash_partition(
-                value, self.key, self.n_parts, vectorized=vectorized
+            assignment = assign_hash_partitions(
+                keys, self.n_parts, vectorized=vectorized
             )
         else:
-            assignment = engine.range_partition(
-                value, self.key, self.boundaries, vectorized=vectorized
+            assignment = assign_range_partitions(
+                keys, self.boundaries, vectorized=vectorized
             )
-        parts = engine.split(
-            value, assignment, self.n_parts, vectorized=vectorized
+        parts = split_by_assignment(
+            frame, assignment, self.n_parts, vectorized=vectorized
         )
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 

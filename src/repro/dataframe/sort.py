@@ -19,6 +19,7 @@ from ..core.operator import ExecContext, Operator, TileContext
 from ..engine.local import concat
 from ..graph.entity import ChunkData
 from ..utils import new_key
+from .partition import assign_range_partitions, split_by_assignment
 from .utils import ConcatChunks, chunk_index, nsplits_from_chunks, spread_sample
 
 
@@ -131,15 +132,14 @@ class SortPartition(Operator):
         self.shuffle_id = shuffle_id
 
     def execute(self, ctx: ExecContext):
-        engine = ctx.engine
-        value = ctx.get_physical(self.inputs[0].key)
+        frame = ctx.get(self.inputs[0].key)
         vectorized = ctx.config.vectorized_shuffle
-        assignment = engine.range_partition(
-            value, self.key, self.boundaries, vectorized=vectorized
+        assignment = assign_range_partitions(
+            frame[self.key].values, self.boundaries, vectorized=vectorized
         )
         n_parts = len(self.outputs)
-        parts = engine.split(
-            value, assignment, n_parts, vectorized=vectorized
+        parts = split_by_assignment(
+            frame, assignment, n_parts, vectorized=vectorized
         )
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 

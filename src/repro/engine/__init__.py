@@ -1,36 +1,7 @@
-"""``repro.engine`` — the pluggable chunk-engine seam.
+"""``repro.engine`` — the single-node frame API seen by the planes above.
 
-Select a backend with ``Config.chunk_engine`` (``"row"`` is the default
-and bit-identical to the pre-seam executor; ``"columnar"`` stores chunks
-as contiguous per-column arrays with dictionary-encoded strings).  See
-:mod:`repro.engine.base` for the contract and DESIGN.md for the seam's
-place in the architecture.
+:mod:`repro.engine.local` re-exports the ``repro.frame`` surface that
+operator kernels, workloads and baselines compute with; the boundary
+linter (``tools/check_service_boundaries.py``) points every module
+outside ``repro/frame/`` and ``repro/engine/`` at it.
 """
-
-from .base import (
-    ChunkEngine,
-    compiled_fusion_enabled,
-    describe_value,
-    engine_of,
-    get_engine,
-    persist_result,
-    register_describer,
-    register_engine,
-)
-from .columnar import COLUMNAR_ENGINE, ColumnarEngine
-from .row import ROW_ENGINE, RowEngine
-
-__all__ = [
-    "COLUMNAR_ENGINE",
-    "ChunkEngine",
-    "ColumnarEngine",
-    "ROW_ENGINE",
-    "RowEngine",
-    "compiled_fusion_enabled",
-    "describe_value",
-    "engine_of",
-    "get_engine",
-    "persist_result",
-    "register_describer",
-    "register_engine",
-]

@@ -80,7 +80,7 @@ class ResultCacheService:
     def _budget(self) -> Optional[int]:
         if self._config is None:
             return None
-        budget = getattr(self._config, "result_cache_budget", 0)
+        budget = self._config.result_cache_budget
         return int(budget) if budget else None
 
     # -- planning-time lookups ---------------------------------------------

@@ -28,14 +28,8 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.dispatch import SubtaskComputation
-from ..core.operator import ExecContext
+from ..core.operator import ExecContext, is_multi_output
 from ..core.opfusion import compile_step, plan_subtask
-from ..engine.base import (
-    compiled_fusion_enabled,
-    engine_of,
-    is_multi_output,
-    persist_result,
-)
 from .base import ServiceActor
 
 
@@ -49,19 +43,13 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
     evaluator: only the step's final result is recorded, intermediates
     live and die as locals of the compiled function.
     """
-    engine = engine_of(config)
     env: dict[str, Any] = dict(inputs)
     steps = plan_subtask(subtask, enable=config.operator_fusion)
     executed_ops: set[int] = set()
     op_results: dict[int, Any] = {}
     op_extra: dict[int, dict[str, dict]] = {}
-    # compiled evaluators run against raw env values, so fusion codegen
-    # is gated on the engine (row-only); the gate is the shared
-    # compiled_fusion_enabled so every runner and the accounting walk
-    # take the same branch for one config.
-    use_compiled = compiled_fusion_enabled(config)
     for step in steps:
-        compiled = compile_step(step) if use_compiled else None
+        compiled = compile_step(step) if config.compiled_fusion else None
         if compiled is not None:
             result = compiled.run(env)
             env[compiled.output_key] = result
@@ -76,10 +64,7 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
                 continue
             executed_ops.add(id(op))
             ctx = ExecContext(env, config)
-            # results enter the env in physical (engine-encoded) form:
-            # downstream ctx.get decodes, storage/wire/sizeof see the
-            # encoded value.
-            result = persist_result(engine, op, op.execute(ctx))
+            result = op.execute(ctx)
             if is_multi_output(op, result):
                 env.update(result)
             else:

@@ -144,7 +144,7 @@ class SchedulingService:
         if scheduler is None:
             scheduler = Scheduler(cluster, config)
         return cls(scheduler, MemoryPressure(config, cluster, meta, storage),
-                   fair_share=getattr(config, "fair_share", True))
+                   fair_share=config.fair_share)
 
     # -- placement ---------------------------------------------------------
     def assign(self, subtask_graph, input_nbytes) -> None:

@@ -8,11 +8,11 @@ from repro.core.operator import (
     FetchOp,
     Operator,
     TileContext,
+    is_multi_output,
     run_tile,
 )
 from repro.config import Config
 from repro.core.meta import MetaService
-from repro.engine.base import is_multi_output
 from repro.graph.entity import ChunkData, TileableData
 
 

@@ -13,12 +13,11 @@ This script walks ``src/repro`` with ``ast`` and fails (exit 1) on any
 runtime import of a guarded class outside its allowlist.  Imports inside
 ``if TYPE_CHECKING:`` blocks are exempt: annotations are not calls.
 
-A second rule guards the chunk-engine seam: outside ``repro/frame/``
-and ``repro/engine/``, importing ``repro.frame`` (directly or via a
-relative import) is an error.  Operator and service code must go
-through ``repro.engine.local`` (the row-space API re-export) or an
-engine handle, so a chunk backend can be swapped without touching the
-planes above it.
+A second rule guards the single-node frame library: outside
+``repro/frame/`` and ``repro/engine/``, importing ``repro.frame``
+(directly or via a relative import) is an error.  Operator and service
+code must go through ``repro.engine.local`` (the frame-API re-export),
+so the planes above it depend on one named surface of the library.
 
 Run from the repository root (CI runs it next to ruff)::
 
@@ -36,9 +35,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 #: guarded class -> module paths (relative to src/, ``/``-separated)
 #: allowed to import it at runtime.  A trailing ``/`` means the whole
 #: subtree.  The services package may import everything: it *is* the
-#: deployment layer.  ``repro/core/executor.py`` is the one sanctioned
-#: assembly point outside it — legacy direct constructions of
-#: ``GraphExecutor`` self-assemble plain services there.
+#: deployment layer.
 ALLOWED = {
     # storage backends: the storage package owns its tiers and router.
     "StorageService": {"repro/storage/", "repro/services/"},
@@ -50,20 +47,19 @@ ALLOWED = {
     },
     "Scheduler": {
         "repro/core/scheduler.py", "repro/core/__init__.py",
-        "repro/core/executor.py", "repro/services/",
+        "repro/services/",
     },
     "MemoryPressure": {"repro/core/memory_control.py", "repro/services/"},
     "RecoveryManager": {"repro/core/recovery.py", "repro/services/"},
-    # the services themselves: constructed by deploy or the executor's
-    # legacy self-assembly, never by client code.
-    "SchedulingService": {"repro/services/", "repro/core/executor.py"},
-    "LifecycleService": {"repro/services/", "repro/core/executor.py"},
-    "ResultCacheService": {"repro/services/", "repro/core/executor.py"},
-    "SubtaskRunner": {"repro/services/", "repro/core/executor.py"},
+    # the services themselves: constructed by deploy, never by client code.
+    "SchedulingService": {"repro/services/"},
+    "LifecycleService": {"repro/services/"},
+    "ResultCacheService": {"repro/services/"},
+    "SubtaskRunner": {"repro/services/"},
 }
 
 #: module subtrees allowed to import ``repro.frame`` directly; everyone
-#: else must use ``repro.engine.local`` or an engine handle.
+#: else must use ``repro.engine.local``.
 FRAME_ALLOWED_PREFIXES = ("repro/frame/", "repro/engine/")
 
 
@@ -161,7 +157,7 @@ def _frame_violation(path: Path, lineno: int, module: str,
         f"{path.relative_to(SRC_ROOT.parent)}:{lineno}: "
         f"{module} may only be imported under "
         f"{sorted(FRAME_ALLOWED_PREFIXES)}, not {rel_path} — "
-        f"use repro.engine.local or an engine handle"
+        f"use repro.engine.local"
     )
 
 
