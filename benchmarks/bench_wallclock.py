@@ -1,4 +1,4 @@
-"""Wall-clock benchmark: serial vs thread-pool vs process-pool execution.
+"""Wall-clock benchmark: serial vs thread-pool execution.
 
 Unlike the figure/table benches (which report *virtual* time), this one
 measures real elapsed seconds, because the band runners are wall-clock
@@ -7,9 +7,7 @@ untouched (asserted here) while finishing sooner on multi-core hosts.
 
 Workloads: TPC-H Q1/Q5, the Fig-8a pipelines (TPCx-AI UC10, census) and
 a 64-chunk BLAS-heavy tensor workload.  Thread mode only overlaps
-kernels that release the GIL (BLAS); process mode is the one that helps
-the pure-Python/pandas kernels, which is where the thread runner
-plateaued.
+kernels that release the GIL (BLAS).
 
 Writes ``benchmarks/results/BENCH_wallclock.json``
 with one row per (workload, mode): ``{workload, mode, seconds,
@@ -41,24 +39,12 @@ from repro.workloads.tpcxai import generate_uc10, uc10_pipeline  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-#: wall-clock speedup targets on a multi-core runner (acceptance bars).
-TARGET_SPEEDUP = 1.5          # thread mode, GIL-releasing kernels
-PROCESS_TARGET_SPEEDUP = 2.5  # process mode, GIL-bound kernels
+#: thread-mode wall-clock speedup target on a multi-core runner
+#: (GIL-releasing kernels).
+TARGET_SPEEDUP = 1.5
 MULTICORE = (os.cpu_count() or 1) >= 2
 
-MODES = ("serial", "thread", "process")
-
-
-def _configure(cfg, mode: str) -> None:
-    cfg.parallel_execution = mode != "serial"
-    cfg.execution_mode = "process" if mode == "process" else "thread"
-
-
-def _warm(session, mode: str) -> None:
-    """Spawn pool workers before the timer starts: measured speedup
-    should reflect steady state, not interpreter spawn cost."""
-    if mode == "process":
-        session.cluster.procpool_client().warm()
+MODES = ("serial", "thread")
 
 
 def _run_frames(fn, tables, *, mode: str, n_workers: int,
@@ -67,13 +53,12 @@ def _run_frames(fn, tables, *, mode: str, n_workers: int,
     cfg.cluster.n_workers = n_workers
     cfg.cluster.memory_limit = memory_limit
     cfg.chunk_store_limit = chunk_store_limit
-    _configure(cfg, mode)
+    cfg.parallel_execution = mode == "thread"
     session = Session(cfg)
     try:
         handles = {
             name: from_frame(frame, session) for name, frame in tables.items()
         }
-        _warm(session, mode)
         start = time.perf_counter()
         value = materialize(fn(handles))
         seconds = time.perf_counter() - start
@@ -87,7 +72,7 @@ def _run_wide_tensor(*, mode: str):
     cfg = default_config()
     cfg.cluster.n_workers = 4  # x2 bands -> 8 logical slots
     cfg.chunk_store_limit = 256 * 1024  # 16 MiB tensor -> 64 chunks
-    _configure(cfg, mode)
+    cfg.parallel_execution = mode == "thread"
 
     def crunch(block: np.ndarray) -> np.ndarray:
         out = block
@@ -99,7 +84,6 @@ def _run_wide_tensor(*, mode: str):
     try:
         t = rand(65536, 32, seed=13, session=session)
         heavy = t.map_blocks(crunch, out_cols=32).sum()
-        _warm(session, mode)
         start = time.perf_counter()
         value = np.asarray(heavy.fetch())
         seconds = time.perf_counter() - start
@@ -145,16 +129,14 @@ def run_wallclock() -> list[dict]:
     for name, runner in build_workloads():
         results = {mode: runner(mode) for mode in MODES}
         base_value, base_seconds, base_makespan = results["serial"]
-        for mode in MODES[1:]:
-            value, _, makespan = results[mode]
-            if not _values_match(base_value, value):
-                raise AssertionError(
-                    f"{name}: {mode} result diverged from serial")
-            if base_makespan != makespan:
-                raise AssertionError(
-                    f"{name}: {mode} virtual makespan diverged "
-                    f"({base_makespan} vs {makespan})"
-                )
+        value, _, makespan = results["thread"]
+        if not _values_match(base_value, value):
+            raise AssertionError(f"{name}: thread result diverged from serial")
+        if base_makespan != makespan:
+            raise AssertionError(
+                f"{name}: thread virtual makespan diverged "
+                f"({base_makespan} vs {makespan})"
+            )
         for mode in MODES:
             seconds = results[mode][1]
             speedup = base_seconds / seconds if seconds else 0.0
@@ -166,11 +148,10 @@ def run_wallclock() -> list[dict]:
 
 def save_and_render(rows: list[dict]) -> str:
     payload = {
-        "benchmark": "wallclock_serial_vs_thread_vs_process",
+        "benchmark": "wallclock_serial_vs_thread",
         "cpu_count": os.cpu_count(),
         "multicore": MULTICORE,
         "target_speedup": TARGET_SPEEDUP,
-        "process_target_speedup": PROCESS_TARGET_SPEEDUP,
         "rows": rows,
     }
     save_bench_json("BENCH_wallclock.json", payload)
@@ -182,17 +163,14 @@ def save_and_render(rows: list[dict]) -> str:
         [name,
          f"{modes['serial']['seconds']:.3f}s",
          f"{modes['thread']['seconds']:.3f}s",
-         f"{modes['thread']['speedup']:.2f}x",
-         f"{modes['process']['seconds']:.3f}s",
-         f"{modes['process']['speedup']:.2f}x"]
+         f"{modes['thread']['speedup']:.2f}x"]
         for name, modes in by_workload.items()
     ]
     return format_table(
-        "Wall-clock: serial vs thread vs process subtask execution",
-        ["workload", "serial", "thread", "t-speedup", "process",
-         "p-speedup"], table_rows,
+        "Wall-clock: serial vs thread subtask execution",
+        ["workload", "serial", "thread", "speedup"], table_rows,
         note=(f"cpus={os.cpu_count()} (multicore={MULTICORE}); virtual "
-              "SimReport numbers verified identical across all modes. "
+              "SimReport numbers verified identical across both modes. "
               "Speedups measured on a 1-core host are not speedup "
               "measurements."),
     )
@@ -205,18 +183,9 @@ def main() -> int:
         (row["speedup"] for row in rows if row["mode"] == "thread"),
         default=0.0,
     )
-    best_process = max(
-        (row["speedup"] for row in rows if row["mode"] == "process"),
-        default=0.0,
-    )
     if MULTICORE and best_thread < TARGET_SPEEDUP:
         print(f"WARNING: best thread speedup {best_thread:.2f}x below the "
               f"{TARGET_SPEEDUP}x target on a {os.cpu_count()}-cpu host")
-        return 1
-    if MULTICORE and best_process < PROCESS_TARGET_SPEEDUP:
-        print(f"WARNING: best process speedup {best_process:.2f}x below "
-              f"the {PROCESS_TARGET_SPEEDUP}x target on a "
-              f"{os.cpu_count()}-cpu host")
         return 1
     return 0
 

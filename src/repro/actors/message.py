@@ -141,8 +141,8 @@ class MessageChaos:
     Decisions hash ``(seed, kind, method, seq)`` through
     ``structural_draw``, where ``seq`` is the dedup token's per-session
     message sequence number, minted on the deterministic accounting
-    walk — so for one seed the same messages fault in serial, thread
-    and process execution mode regardless of delivery interleaving.
+    walk — so for one seed the same messages fault in serial and thread
+    execution mode regardless of delivery interleaving.
     The token's *session* component is deliberately excluded from the
     draw: session ids come from a process-global counter, and the same
     workload must draw the same faults no matter how many sessions ran

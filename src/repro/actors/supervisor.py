@@ -13,8 +13,8 @@ from authoritative state:
   scheduling, cache, lifecycle) close over their long-lived service
   objects; the actor shell is stateless.
 * ``SubtaskRunnerActor`` factories build a fresh stateless runner; any
-  compute lost with the old one re-runs through the executor's inline
-  retry, and lost chunks replay through ``LifecycleService`` lineage
+  compute lost with the old one re-runs through the executor's retry
+  wrapper, and lost chunks replay through ``LifecycleService`` lineage
   (``RecoveryManager``).
 
 Restart-storm limiting: each uid has a restart budget

@@ -51,8 +51,6 @@ class ClusterState:
         self.actor_system.create_pool(SUPERVISOR_ADDRESS)
         for worker in self.workers:
             self.actor_system.create_pool(worker.name)
-        #: lazy process-pool client (``execution_mode == "process"``).
-        self._procpool = None
         #: the cluster-scoped service plane, memoized by
         #: ``deploy_cluster_services`` — ``None`` until first deploy.
         #: Sessions sharing this cluster attach to the same handles.
@@ -76,19 +74,6 @@ class ClusterState:
 
         return shared_pool(self.config.band_runner_threads)
 
-    def procpool_client(self):
-        """The cluster's process-pool client, created on first use.
-
-        Shared by every band runner so one cluster keeps exactly one set
-        of worker processes; the executor itself spawns lazily inside
-        the client, on the first process-mode subtask.
-        """
-        if self._procpool is None:
-            from ..core.procpool import ProcPoolClient
-
-            self._procpool = ProcPoolClient(self.config)
-        return self._procpool
-
     def band_by_name(self, name: str) -> Band:
         for band in self.bands:
             if band.name == name:
@@ -111,10 +96,4 @@ class ClusterState:
         self.clock = SimClock(self.bands, self.config.cost_model)
 
     def shutdown(self) -> None:
-        if self._procpool is not None:
-            try:
-                self._procpool.close()
-            except Exception:  # noqa: BLE001 — shutdown must not raise
-                pass
-            self._procpool = None
         self.actor_system.shutdown()

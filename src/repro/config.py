@@ -99,7 +99,7 @@ class MessageFaultSpec:
     ``cache.record_many``). Draws hash the token — minted on the
     deterministic accounting walk — through ``structural_draw``, never the
     delivery order, so for one seed the same messages are dropped, delayed
-    and duplicated in serial, thread and process execution mode.
+    and duplicated in serial and thread execution mode.
 
     The delivery layer is at-least-once and the endpoints are idempotent:
     a dropped message is retransmitted, a duplicated one is suppressed by
@@ -175,38 +175,15 @@ class Config:
     #: minimum host CPU count for the band runner: on fewer cores kernels
     #: cannot actually overlap, so serial is never slower.
     parallel_min_cores: int = 2
-    #: how parallel-stage kernels run: "thread" keeps them on the shared
-    #: band-runner thread pool (NumPy/BLAS kernels overlap, pure-Python
-    #: ones serialize on the GIL); "process" routes the compute phase of
-    #: each subtask through the per-cluster worker process pool
-    #: (``repro.core.procpool``) so pure-Python/pandas kernels genuinely
-    #: overlap. Accounting stays on the dispatching thread either way —
-    #: SimReport numbers are bit-identical across all three modes.
-    execution_mode: str = "thread"
     #: size of the shared band-runner thread pool (0 = host cpu count).
     #: Threads are reused across sessions; tests shrink this to keep the
     #: serial-heavy suite from pinning idle threads.
     band_runner_threads: int = 0
-    #: worker processes in the per-cluster process pool (0 = cpu count).
-    procpool_workers: int = 0
-    #: chunk payloads at or above this many bytes cross the process
-    #: boundary through one shared-memory segment (pickle protocol-5
-    #: out-of-band buffers, zero-copy on receive); smaller payloads ship
-    #: as inline pickle bytes — the copy is cheaper than an shm segment.
-    procpool_inline_threshold: int = 64 * 1024
-    #: start method for pool workers. "spawn" is the only mode safe to
-    #: combine with the band-runner threads that submit work.
-    procpool_start_method: str = "spawn"
     #: compile eligible fused elementwise/filter chains into a single
     #: generated evaluator (one call per step, intermediates in locals —
     #: the numexpr-style single pass of Section V-A). Off falls back to
     #: interpreting the fused step one operator at a time.
     compiled_fusion: bool = True
-    #: array-at-a-time partition kernels for the shuffle data plane
-    #: (hash/range partition ids + single-sweep chunk splitting). Off
-    #: selects the scalar per-row reference path, which produces
-    #: bit-identical partitions — this switch only trades wall-clock.
-    vectorized_shuffle: bool = True
     #: pre-aggregate each mapper's partition input before it hits storage
     #: (groupby shuffle-reduce only): shuffle bytes then shrink with key
     #: cardinality instead of row count.

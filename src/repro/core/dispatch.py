@@ -54,9 +54,9 @@ def shared_pool(max_workers: int | None = None) -> ThreadPoolExecutor:
 
     ``max_workers`` (``Config.band_runner_threads``; 0/None means the
     host's CPU count) only ever *grows* the shared pool: dispatch
-    threads mostly wait on kernels — or, in process mode, on IPC — so a
-    cluster asking for more slots than an earlier one is safe, while
-    shrinking under a live dispatcher would deadlock its queued bands.
+    threads mostly wait on kernels, so a cluster asking for more slots
+    than an earlier one is safe, while shrinking under a live
+    dispatcher would deadlock its queued bands.
     """
     global _pool
     want = max_workers if max_workers and max_workers > 0 else (
@@ -100,8 +100,7 @@ def should_use_parallel(order: list[Subtask], config,
 class SubtaskComputation:
     """Kernel results of one subtask's compute phase.
 
-    Consumed by the accounting phase in place of calling
-    ``op.execute`` a second time.
+    The accounting phase replays it; it never runs a kernel itself.
     """
 
     __slots__ = ("op_results", "op_extra_meta", "outputs")
@@ -292,7 +291,7 @@ class BandDispatcher:
                 self._key_conds.pop(key, None)
 
     def resolve(self, subtask: Subtask) -> None:
-        """Clear a failed subtask the caller has recovered inline.
+        """Clear a failed subtask the caller has recovered itself.
 
         The accounting thread catches a retryable compute failure from
         :meth:`wait_for`, re-executes the subtask (and any lost

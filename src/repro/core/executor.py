@@ -2,20 +2,22 @@
 
 Takes a chunk graph, produces subtasks via graph-level fusion, assigns
 them to bands, then walks the subtask DAG: for each subtask it fetches
-inputs from the storage service (charging transfers), runs the chunk
-operators with the single-node backends, writes outputs back (charging
+inputs from the storage service (charging transfers), replays the
+kernel results of the band's runner, writes outputs back (charging
 memory, possibly spilling), records metadata in the meta service, and
 advances the per-band virtual clocks.
 
 Real values are computed in-process; *time* is simulated — see
 ``repro.cluster.simulation``.
 
-With ``config.parallel_execution`` on, kernel execution is split off
-into an event-driven compute phase that runs independent subtasks
-concurrently on the band-runner thread pool (``repro.core.dispatch``),
-while this module's accounting walk stays in deterministic topological
-order and consumes the precomputed results — so the simulated numbers
-are identical in both modes and only wall-clock time changes.
+Kernels always run through ``SubtaskRunner.precompute``.  With
+``config.parallel_execution`` on, an event-driven compute phase calls it
+for independent subtasks concurrently on the band-runner thread pool
+(``repro.core.dispatch``); serial stages, retries and lineage recovery
+call it on the accounting thread over the inputs just fetched.  Either
+way this module's accounting walk stays in deterministic topological
+order and only replays the record — so the simulated numbers are
+identical in both modes and only wall-clock time changes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from ..errors import (
     RetriesExhausted,
     StorageKeyError,
     WorkerOutOfMemory,
-    WorkerProcessCrash,
 )
 from ..graph.dag import DAG
 from ..graph.entity import ChunkData
@@ -44,20 +45,18 @@ from ..utils import sizeof
 from .dispatch import BandDispatcher, SubtaskComputation, should_use_parallel
 from .fusion import fusion_groups, singleton_groups
 from .memory_control import worker_of_band
-from .operator import COMBINE_DROPPED_KEY, ExecContext, is_multi_output
+from .operator import COMBINE_DROPPED_KEY, is_multi_output
 from .opfusion import compile_step, plan_subtask, step_io_keys
 from .supervision import SpeculationController
 
 #: failures the retry loop re-attempts; anything else (kernel bugs, OOM
-#: with spill disabled) propagates unchanged.  A process-pool worker
-#: dying mid-kernel is retryable too: the accounting walk simply re-runs
-#: the (pure, deterministic) kernels inline — same lineage-recovery path
-#: as a lost chunk, and no simulated number observes the crash.  A dead
-#: runner actor (killed between messages, destroy racing a delivery) is
-#: the same shape: its in-flight subtask re-runs inline and the
-#: supervisor respawns the actor on the next delivery.
+#: with spill disabled) propagates unchanged.  A dead runner actor
+#: (killed between messages, destroy racing a delivery) is retryable
+#: too: the retry recomputes the (pure, deterministic) kernels — same
+#: path as a lost chunk, and no simulated number observes the crash —
+#: and the supervisor respawns the actor on the next delivery.
 _RETRYABLE = (FaultInjected, ChunkLostError, StorageKeyError,
-              WorkerProcessCrash, ActorNotFound)
+              ActorNotFound)
 
 
 def _lost_keys(exc: BaseException) -> list[str]:
@@ -141,7 +140,7 @@ class GraphExecutor:
         #: monotonic sequence for dedup tokens on mutating service
         #: messages. Minted on the accounting walk only, so the token
         #: stream — and therefore every message-chaos draw keyed on it —
-        #: is identical across serial/thread/process execution. A retry
+        #: is identical across serial and thread execution. A retry
         #: or recovery re-run mints a *fresh* token: only genuine
         #: duplicate deliveries of one call are ever suppressed.
         self._msg_seq = 0
@@ -328,14 +327,11 @@ class GraphExecutor:
                 )
             else:
                 for subtask in order:
-                    # serial compute goes through the band's runner too:
-                    # the accounting walk consumes the precomputed record
-                    # exactly like the parallel path (falling back to
-                    # inline kernels if the runner bailed).
-                    computed = self._precompute(subtask)
+                    # no record: the accounting walk asks the band's
+                    # runner for one once the inputs are fetched.
                     end = self._run_subtask_with_recovery(
                         subtask, subtask_graph, completion, base_time, retain,
-                        consumers, stage, computed=computed,
+                        consumers, stage,
                     )
                     completion[subtask.key] = end
         finally:
@@ -482,7 +478,7 @@ class GraphExecutor:
             # messages they send carry a real sender in the trace.
             if system is not None:
                 system.set_thread_sender("band-runner")
-            return self.runners[subtask.band].compute(subtask, inputs)
+            return self.runners[subtask.band].precompute(subtask, inputs)
 
         def fetch(keys: list[str]) -> dict[str, Any]:
             if system is not None:
@@ -503,9 +499,9 @@ class GraphExecutor:
                     computed = dispatcher.wait_for(subtask.key)
                 except _RETRYABLE:
                     # the compute phase raced a fault deletion; recover
-                    # inline on this thread — the retry wrapper re-runs
-                    # the kernels serially, and since the storage state
-                    # at each accounting position is identical across
+                    # on this thread — the retry wrapper recomputes the
+                    # kernels serially, and since the storage state at
+                    # each accounting position is identical across
                     # modes, the retry/recovery accounting is too.
                     computed = None
                 end = self._run_subtask_with_recovery(
@@ -520,17 +516,6 @@ class GraphExecutor:
         finally:
             dispatcher.shutdown()
             self.speculative_subtasks += dispatcher.speculative_count
-
-    def _precompute(self, subtask: Subtask) -> SubtaskComputation | None:
-        """Serial-mode compute phase: run kernels via the band's runner.
-
-        Returns ``None`` (inline fallback) when the band has no runner
-        or the runner bailed — the accounting walk then re-runs the
-        kernels itself, failing or retrying at the exact point the
-        pre-service engine did.
-        """
-        runner = self.runners.get(subtask.band)
-        return runner.precompute(subtask) if runner is not None else None
 
     # -- fault recovery -------------------------------------------------
     def _run_subtask_with_recovery(
@@ -595,8 +580,8 @@ class GraphExecutor:
                     backoff = spec.backoff_base * spec.backoff_factor ** attempt
                     extra_delay += backoff
                     stage.backoff_time += backoff
-                    # a precomputed record may predate the failure; re-run
-                    # the (pure, deterministic) kernels inline instead.
+                    # a precomputed record may predate the failure; the
+                    # next attempt asks the runner for a fresh one.
                     computed = None
                     lost = _lost_keys(exc)
                     if lost:
@@ -633,14 +618,21 @@ class GraphExecutor:
 
         Every rung runs on the accounting thread from deterministic
         state, so the ladder's path — and all its counters — are
-        bit-identical between serial and parallel modes.
+        bit-identical between serial and parallel modes.  The rungs
+        share one kernel record: the first rung to need it obtains it
+        (unless the dispatcher already did), later rungs replay it, so
+        kernels run at most once per attempt.
         """
-        try:
+        record = [computed]
+
+        def rung() -> float:
             return self._run_subtask(
                 subtask, graph, completion, base_time, retain, consumers,
-                stage, computed=computed, recovering=recovering,
-                extra_delay=extra_delay,
+                stage, record, recovering, extra_delay,
             )
+
+        try:
+            return rung()
         except WorkerOutOfMemory:
             if not self.config.oom_recovery:
                 raise
@@ -649,11 +641,7 @@ class GraphExecutor:
         stage.oom_retries += 1
         stage.forced_spill_bytes += self.storage.force_spill(worker)
         try:
-            return self._run_subtask(
-                subtask, graph, completion, base_time, retain, consumers,
-                stage, computed=computed, recovering=recovering,
-                extra_delay=extra_delay,
-            )
+            return rung()
         except WorkerOutOfMemory:
             pass
         # rung (b): reschedule onto the freest worker's earliest band.
@@ -668,11 +656,7 @@ class GraphExecutor:
             self.scheduling.reassign(subtask, new_band)
             worker = target
             try:
-                return self._run_subtask(
-                    subtask, graph, completion, base_time, retain, consumers,
-                    stage, computed=computed, recovering=recovering,
-                    extra_delay=extra_delay,
-                )
+                return rung()
             except WorkerOutOfMemory:
                 pass
         # rung (c): degrade the worker to one subtask at a time and
@@ -680,11 +664,7 @@ class GraphExecutor:
         # the subtask cannot fit even alone — escalate to re-tiling (d).
         stage.oom_retries += 1
         self.scheduling.degrade(worker, self._tenant())
-        return self._run_subtask(
-            subtask, graph, completion, base_time, retain, consumers,
-            stage, computed=computed, recovering=recovering,
-            extra_delay=extra_delay,
-        )
+        return rung()
 
     def _recover_lost(self, keys: list[str], base_time: float,
                       stage: SimReport) -> None:
@@ -801,9 +781,8 @@ class GraphExecutor:
                      completion: dict[str, float], base_time: float,
                      retain: set[str], consumers: dict[str, int],
                      stage: SimReport,
-                     computed: SubtaskComputation | None = None,
-                     recovering: bool = False,
-                     extra_delay: float = 0.0) -> float:
+                     record: list[SubtaskComputation | None],
+                     recovering: bool, extra_delay: float) -> float:
         # pin + fetch the whole input set in one storage message: the
         # pins hold for the whole accounting span — memory admission and
         # output spill must never evict what this subtask is reading
@@ -815,7 +794,7 @@ class GraphExecutor:
         try:
             return self._run_subtask_inner(
                 subtask, graph, completion, base_time, retain, consumers,
-                stage, computed, recovering, extra_delay, infos,
+                stage, record, recovering, extra_delay, infos,
             )
         finally:
             self.storage.unpin(subtask.input_keys)
@@ -824,7 +803,7 @@ class GraphExecutor:
                            completion: dict[str, float], base_time: float,
                            retain: set[str], consumers: dict[str, int],
                            stage: SimReport,
-                           computed: SubtaskComputation | None,
+                           record: list[SubtaskComputation | None],
                            recovering: bool,
                            extra_delay: float,
                            infos: list[Any]) -> float:
@@ -866,7 +845,12 @@ class GraphExecutor:
         # time the subtask spends waiting, not band busy time.
         ready_time += extra_delay
 
-        # -- execute steps ---------------------------------------------------
+        # -- compute (once per attempt; OOM rungs replay the record) ---------
+        if record[0] is None:
+            record[0] = self.runners[subtask.band].precompute(subtask, env)
+        computed = record[0]
+
+        # -- replay steps ----------------------------------------------------
         steps = plan_subtask(subtask, enable=self.config.operator_fusion)
         cpu_bytes = 0
         executed_ops: set[int] = set()
@@ -904,21 +888,17 @@ class GraphExecutor:
             step_in_bytes = sum(
                 sized(k, env[k]) for k in step_inputs if k in env
             )
-            # compiled fused steps (same structural decision the runners
-            # made): one evaluator call, and only the final result ever
-            # enters the environment — fused intermediates exist solely
-            # as locals of the generated function, so they no longer
-            # inflate the transient working-set peak.
+            # compiled fused steps (same structural decision the runner
+            # made): only the final result ever enters the environment —
+            # fused intermediates exist solely as locals of the generated
+            # function, so they never inflate the transient working-set
+            # peak.
             compiled = (
                 compile_step(step) if self.config.compiled_fusion else None
             )
             if compiled is not None:
-                final_op = compiled.final_op
-                if computed is None:
-                    result = compiled.run(env)
-                else:
-                    result = computed.op_results[id(final_op)]
-                _env_store(compiled.output_key, result)
+                _env_store(compiled.output_key,
+                           computed.op_results[id(compiled.final_op)])
                 env_peak = max(env_peak, env_bytes)
                 for chunk in step:
                     op = chunk.op
@@ -937,13 +917,8 @@ class GraphExecutor:
                     if op is None or id(op) in executed_ops:
                         continue
                     executed_ops.add(id(op))
-                    if computed is None:
-                        ctx = ExecContext(env, self.config)
-                        result = op.execute(ctx)
-                        extra_meta = ctx.extra_meta
-                    else:
-                        result = computed.op_results[id(op)]
-                        extra_meta = computed.op_extra_meta.get(id(op), {})
+                    result = computed.op_results[id(op)]
+                    extra_meta = computed.op_extra_meta.get(id(op), {})
                     if is_multi_output(op, result):
                         for out_key, value in result.items():
                             _env_store(out_key, value)
@@ -956,6 +931,8 @@ class GraphExecutor:
                                 and dep.key not in output_key_set
                                 and dep.key in env):
                             env_bytes -= sized(dep.key, env.pop(dep.key))
+                    # popping from the record means an OOM rung replaying
+                    # it counts the combine's dropped rows only once.
                     for meta_key, extra in extra_meta.items():
                         dropped = extra.pop(COMBINE_DROPPED_KEY, 0)
                         if dropped:

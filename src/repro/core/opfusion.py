@@ -101,8 +101,8 @@ def compile_step(step: list[ChunkData]) -> CompiledStep | None:
     :attr:`~repro.core.operator.Operator.fuse_expr`), converging on one
     final output. Anything else returns ``None`` and the caller
     interprets the step op-by-op. The decision depends only on the
-    step's structure, so the serial walk, band-runner threads and pool
-    worker processes all compile (or decline) identically.
+    step's structure, so the subtask runner and the accounting walk's
+    replay always agree on it.
     """
     if len(step) < 2:
         return None

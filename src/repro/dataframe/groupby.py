@@ -436,11 +436,8 @@ class GroupByPartition(Operator):
                 ctx.annotate(self.outputs[0].key,
                              **{COMBINE_DROPPED_KEY: dropped})
                 frame = combined
-        vectorized = ctx.config.vectorized_shuffle
         assignment = assign_range_partitions(
-            frame[self.by[0]].values, self.boundaries, vectorized=vectorized
+            frame[self.by[0]].values, self.boundaries
         )
-        parts = split_by_assignment(
-            frame, assignment, self.n_reducers, vectorized=vectorized
-        )
+        parts = split_by_assignment(frame, assignment, self.n_reducers)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}

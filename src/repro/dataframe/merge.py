@@ -253,18 +253,11 @@ class MergePartition(Operator):
     def execute(self, ctx: ExecContext):
         frame = ctx.get(self.inputs[0].key)
         keys = frame[self.key].values
-        vectorized = ctx.config.vectorized_shuffle
         if self.hash_mode:
-            assignment = assign_hash_partitions(
-                keys, self.n_parts, vectorized=vectorized
-            )
+            assignment = assign_hash_partitions(keys, self.n_parts)
         else:
-            assignment = assign_range_partitions(
-                keys, self.boundaries, vectorized=vectorized
-            )
-        parts = split_by_assignment(
-            frame, assignment, self.n_parts, vectorized=vectorized
-        )
+            assignment = assign_range_partitions(keys, self.boundaries)
+        parts = split_by_assignment(frame, assignment, self.n_parts)
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 
 

@@ -5,12 +5,13 @@ sort) does the same two things to a chunk: compute a per-row partition id
 from the key column, then split the chunk into one frame per partition.
 This module owns both, in two interchangeable implementations:
 
-- the **vectorized** kernels (default): one pass over the key column
-  (``hash_array`` / ``np.searchsorted``) and one stable ``argsort``/gather
-  sweep that materializes all N output frames in two passes total;
-- the **scalar** reference kernels: the original per-row Python loops and
-  N boolean-mask scans, kept both as the parity oracle for tests and as
-  the ``Config.vectorized_shuffle = False`` escape hatch.
+- the **vectorized** kernels (default, what every shuffle-map operator
+  runs): one pass over the key column (``hash_array`` /
+  ``np.searchsorted``) and one stable ``argsort``/gather sweep that
+  materializes all N output frames in two passes total;
+- the **scalar** reference kernels (``vectorized=False``): the original
+  per-row Python loops and N boolean-mask scans, kept as the parity
+  oracle for tests and the shuffle benchmark.
 
 Both produce bit-identical partitions: same rows, same within-partition
 order (stable sort == boolean mask order), same index labels.

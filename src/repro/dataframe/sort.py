@@ -133,14 +133,10 @@ class SortPartition(Operator):
 
     def execute(self, ctx: ExecContext):
         frame = ctx.get(self.inputs[0].key)
-        vectorized = ctx.config.vectorized_shuffle
         assignment = assign_range_partitions(
-            frame[self.key].values, self.boundaries, vectorized=vectorized
+            frame[self.key].values, self.boundaries
         )
-        n_parts = len(self.outputs)
-        parts = split_by_assignment(
-            frame, assignment, n_parts, vectorized=vectorized
-        )
+        parts = split_by_assignment(frame, assignment, len(self.outputs))
         return {chunk.key: parts[r] for r, chunk in enumerate(self.outputs)}
 
 

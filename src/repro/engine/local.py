@@ -2,7 +2,7 @@
 
 Operator kernels, workloads and baselines compute with the
 ``repro.frame`` containers — the one value space of chunks everywhere:
-kernels, storage, meta, the shuffle plane and the process-pool wire.
+kernels, storage, meta and the shuffle plane.
 They import those names from here, never from ``repro.frame`` directly
 (the boundary linter enforces it), so the single-node library is used
 through one named surface.

@@ -94,23 +94,6 @@ class ChunkLostError(ReproError):
         )
 
 
-class WorkerProcessCrash(ReproError):
-    """A process-pool worker died while computing a subtask.
-
-    Retryable: the subtask's inputs still sit in driver-side storage, so
-    the accounting walk simply re-runs the kernels inline (and lineage
-    recovery restores anything a larger failure took), exactly like any
-    other compute-phase fault. The pool is rebuilt behind the scenes.
-    """
-
-    def __init__(self, band: str, detail: str = ""):
-        self.band = band
-        super().__init__(
-            f"worker process died while computing on band {band!r}"
-            + (f": {detail}" if detail else "")
-        )
-
-
 class UnrecoverableChunkLoss(ReproError):
     """A lost chunk has no recorded lineage, so it cannot be recomputed."""
 
@@ -195,7 +178,8 @@ class ActorNotFound(ActorError):
     Typed and retryable: ``destroy_actor``/``stop_pool`` racing an in-flight
     ``deliver``, or a killed runner, surface as this instead of an opaque
     lookup failure. The executor treats it like any other transient fault —
-    the subtask re-runs inline and lineage recovery restores lost state.
+    the subtask's retry recomputes it and lineage recovery restores lost
+    state.
     """
 
     def __init__(self, address: str, uid: str, detail: str = ""):

@@ -150,26 +150,22 @@ def deploy_services(cluster: ClusterState, config: Config) -> ServiceHandles:
         SUPERVISOR_ADDRESS, LIFECYCLE_UID,
         lambda: (LifecycleActor, (lifecycle_service,), {}))
 
-    procpool = (
-        cluster.procpool_client() if config.execution_mode == "process"
-        else None
-    )
     runners = {}
     for band in cluster.bands:
         uid = runner_uid(band.name)
         runners[band.name] = system.create_actor(
             band.worker, SubtaskRunnerActor,
-            SubtaskRunner(band.name, storage, config, procpool=procpool),
+            SubtaskRunner(band.name, config),
             uid=uid,
         )
         # runners are stateless: the factory builds a *fresh* one — any
         # compute lost with the old actor re-runs through the executor's
-        # inline retry, and lost chunks replay via lifecycle lineage.
+        # retry wrapper, and lost chunks replay via lifecycle lineage.
         plane.register_runner(
             band.name, band.worker, uid,
             lambda name=band.name: (
                 SubtaskRunnerActor,
-                (SubtaskRunner(name, storage, config, procpool=procpool),),
+                (SubtaskRunner(name, config),),
                 {},
             ))
 

@@ -2,25 +2,18 @@
 
 Each band gets one :class:`SubtaskRunner` (fronted by a
 :class:`SubtaskRunnerActor` on the band's worker pool).  A runner only
-ever executes kernels against real values — it touches no shared
-service state besides accounting-free storage reads — so the executor's
-accounting walk stays the single writer of every simulated number, in
-all execution modes:
+ever executes kernels against the input values it is handed — it
+touches no shared service state — so the executor's accounting walk
+stays the single writer of every simulated number in both execution
+modes.  :meth:`SubtaskRunner.precompute` is the one kernel entry:
 
-- parallel mode: the band dispatcher calls :meth:`compute` from pool
-  threads as dependencies resolve (one logical slot per band); with
-  ``config.execution_mode == "process"`` the kernels additionally hop
-  to a pool worker process (``repro.core.procpool``) so pure-Python
-  kernels run out-of-GIL;
-- serial mode: the accounting walk calls :meth:`precompute` for each
-  subtask just before accounting it, so kernel execution goes through
-  the same runner interface (and shows up in the message trace) while
-  the walk consumes the precomputed record exactly like the parallel
-  path does.
+- thread-mode stages: the band dispatcher calls it from pool threads
+  as dependencies resolve (one logical slot per band);
+- serial stages, retries and lineage recovery: the accounting walk
+  calls it on its own thread, over the inputs ``acquire_many`` just
+  returned, and then replays the record.
 
-:func:`run_subtask_kernels` is the one shared kernel loop behind all
-three paths — what the serial walk, the band-runner threads and the
-pool worker processes execute is literally the same code.
+:func:`run_subtask_kernels` is the only kernel loop behind it.
 """
 
 from __future__ import annotations
@@ -82,47 +75,19 @@ def run_subtask_kernels(subtask, inputs: dict[str, Any],
 class SubtaskRunner:
     """Kernel execution for one band."""
 
-    def __init__(self, band: str, storage, config, procpool=None):
+    def __init__(self, band: str, config):
         self.band = band
-        self._storage = storage
         self._config = config
-        #: optional :class:`~repro.core.procpool.ProcPoolClient` shared
-        #: by every runner of the cluster (process execution mode).
-        self._procpool = procpool
 
-    def compute(self, subtask, inputs: dict[str, Any]) -> SubtaskComputation:
+    def precompute(self, subtask, inputs: dict[str, Any]) -> SubtaskComputation:
         """Run the subtask's kernels against ``inputs``.
 
-        May run on a band-runner pool thread.  In process mode the
-        kernels cross into a pool worker process; a dead worker surfaces
-        as :class:`~repro.errors.WorkerProcessCrash`, which the
-        accounting walk treats like any other retryable compute fault.
+        Kernel errors propagate to the caller unchanged.
         """
-        if (self._procpool is not None
-                and self._config.execution_mode == "process"):
-            return self._procpool.run_subtask(subtask, inputs, self._config)
         return run_subtask_kernels(subtask, inputs, self._config)
-
-    def precompute(self, subtask) -> SubtaskComputation | None:
-        """Serial-mode entry: gather inputs and compute, or bail to None.
-
-        Inputs come from one batched accounting-free read; the charged
-        ``get`` for the same keys happens in the accounting phase.
-        *Any* failure — a missing input the retry machinery will
-        recover, or a kernel error — returns ``None`` so the accounting
-        walk re-runs the kernels inline and fails (or retries) at
-        exactly the point the pre-service engine did.  Serial stages
-        stay in-process even in process mode: they exist because the
-        graph was too small to amortize dispatch, let alone IPC.
-        """
-        try:
-            inputs = self._storage.peek_values(list(subtask.input_keys))
-            return run_subtask_kernels(subtask, inputs, self._config)
-        except Exception:
-            return None
 
 
 class SubtaskRunnerActor(ServiceActor):
     """Fronts one band's :class:`SubtaskRunner` on its worker's pool."""
 
-    service_methods = frozenset({"compute", "precompute"})
+    service_methods = frozenset({"precompute"})

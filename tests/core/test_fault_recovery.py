@@ -549,7 +549,7 @@ class TestEnvAccounting:
             tracker.note_transient = (
                 lambda nbytes: (recorded.append(nbytes), original(nbytes))[1]
             )
-            session.executor._run_subtask(
+            session.executor._run_guarded(
                 subtask, None, {}, 0.0, set(), {}, SimReport(),
             )
             value_bytes = sizeof(np.ones(n))

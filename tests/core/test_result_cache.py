@@ -84,14 +84,12 @@ class TestWarmReuse:
         assert first != second
         assert hits1 > hits0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_modes_agree_when_cached(self, mode):
         workload, overrides = WORKLOADS["groupby_shuffle"]
         kwargs = dict(overrides)
         if mode != "serial":
-            kwargs.update(parallel=True, execution_mode=mode)
-            if mode == "process":
-                kwargs["procpool_workers"] = 2
+            kwargs.update(parallel=True)
         with cached_session(**kwargs) as session:
             cold = repr(workload(session))
             warm = repr(workload(session))

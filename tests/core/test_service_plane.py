@@ -1,6 +1,6 @@
 """The service-plane acceptance suite.
 
-Three pillars:
+Four pillars:
 
 1. **Bit-identical reports** — every golden scenario (fault-free, seeded
    chaos, memory squeeze; serial and parallel) replays against the
@@ -10,8 +10,11 @@ Three pillars:
 2. **A real RPC trace** — a TPC-H q5 run leaves a message log whose
    sender -> recipient edges are exactly the service topology the
    architecture promises (session actor fan-out, lifecycle-owned frees,
-   router-to-worker tier calls, runner-attributed compute reads).
-3. **Lifecycle** — sessions are thin clients holding actor refs only,
+   router-to-worker tier calls), within the batched message budget.
+3. **One kernel entry** — every path reaches the kernels through
+   ``SubtaskRunner.precompute``, once per subtask attempt, with no
+   storage pre-read on serial stages.
+4. **Lifecycle** — sessions are thin clients holding actor refs only,
    close is idempotent and destroys the plane, and the actor system
    survives pools being stopped mid-delivery.
 """
@@ -23,18 +26,24 @@ import json
 import threading
 import types
 
+import numpy as np
 import pytest
 from tests.core.golden_harness import (
     GOLDEN_PATH,
     WORKLOADS,
+    collect_report,
     make_session,
     run_scenario,
     scenarios,
     tpch_q5,
 )
 
+from repro import frame as pf
 from repro.actors import Actor, ActorRef
+from repro.actors.message import MessageLog
 from repro.cluster.cluster import SUPERVISOR_ADDRESS
+from repro.dataframe import from_frame
+from repro.diagnostics import messages_per_subtask
 from repro.errors import ActorError, SessionError
 from repro.services import (
     LIFECYCLE_UID,
@@ -75,6 +84,9 @@ class TestMessageTrace:
     def q5_session(self):
         _, overrides = WORKLOADS["tpch_q5"]
         with make_session(parallel=False, **overrides) as session:
+            # a window smaller than q5's traffic, so the counters are
+            # checked after the rows were trimmed.
+            session.cluster.actor_system.log = MessageLog(capacity=256)
             tpch_q5(session)
             yield session
 
@@ -96,9 +108,10 @@ class TestMessageTrace:
             snapshot["recipients"].values()
         )
         assert snapshot["total_delivered"] == sum(snapshot["edges"].values())
-        # the engine executed hundreds of subtasks; the plane must have
-        # carried far more messages than the bounded window retains.
-        assert snapshot["total_delivered"] > log.capacity / 10
+        # the plane carried more messages than the bounded window
+        # retains: the window is trimmed, the counts are not.
+        assert snapshot["total_delivered"] > log.capacity
+        assert len(log.recent(2 * log.capacity)) == log.capacity
 
     def test_sender_recipient_edges(self, q5_session):
         """The architecture's call graph, as actually delivered."""
@@ -121,11 +134,17 @@ class TestMessageTrace:
             (LIFECYCLE_UID, SHUFFLE_UID),
             # the storage router delegates tier ops to worker actors.
             (STORAGE_UID, worker_storage_uid(worker)),
-            # serial-mode compute reads are attributed to the runner.
-            (runner_uid(band), STORAGE_UID),
         }
         missing = expected - edges
         assert not missing, f"missing service-plane edges: {sorted(missing)}"
+        # serial runners compute over the inputs the accounting walk
+        # fetched: they never read storage themselves.
+        runner_reads = {
+            (s, r) for s, r in edges
+            if r == STORAGE_UID
+            and s in {runner_uid(b.name) for b in q5_session.cluster.bands}
+        }
+        assert not runner_reads
 
     def test_client_never_calls_backends_directly(self, q5_session):
         """``<external>`` (the thin client) only reaches the session
@@ -149,6 +168,86 @@ class TestMessageTrace:
         # shuffle-map outputs register through the coordinator.
         session_uid = session_actor_uid(session.session_id)
         assert (session_uid, SHUFFLE_UID) in edges
+
+
+class TestMessageBudget:
+    def test_tpch_q5_messages_per_subtask_halved(self):
+        workload, overrides = WORKLOADS["tpch_q5"]
+        with make_session(parallel=True, **overrides) as session:
+            workload(session)
+            per = messages_per_subtask(session)
+            n_subtasks = session.executor.report.n_subtasks
+        assert n_subtasks > 0
+        # The pre-batching data plane measured 39.23 messages/subtask on
+        # this exact scenario; the composite endpoints must hold the
+        # halved budget (currently ~18.8).
+        assert per <= 19.62
+
+
+# ---------------------------------------------------------------------------
+# 3. one kernel entry: the runner computes, the accounting walk replays
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of ``run_subtask_kernels`` and ``peek_values`` calls."""
+    from repro.services import runner as runner_mod
+    from repro.storage.service import StorageService
+
+    counts = {"kernels": 0, "peek_values": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runner_mod, "run_subtask_kernels",
+                        counting("kernels", runner_mod.run_subtask_kernels))
+    monkeypatch.setattr(StorageService, "peek_values",
+                        counting("peek_values", StorageService.peek_values))
+    return counts
+
+
+def low_cardinality_groupby(session):
+    """A groupby whose mappers' side combine drops rows."""
+    rng = np.random.default_rng(11)
+    local = pf.DataFrame({
+        "k": rng.integers(0, 20, 4_000),
+        "v": rng.normal(size=4_000),
+    })
+    return from_frame(local, session).groupby("k").agg({"v": "sum"}).fetch()
+
+
+class TestSingleKernelEntry:
+    def test_serial_q5_runs_each_subtask_once_without_pre_read(
+            self, kernel_calls):
+        _, overrides = WORKLOADS["tpch_q5"]
+        with make_session(parallel=False, **overrides) as session:
+            tpch_q5(session)
+            n_subtasks = session.executor.report.n_subtasks
+        assert n_subtasks > 0
+        assert kernel_calls["peek_values"] == 0
+        assert kernel_calls["kernels"] == n_subtasks
+
+    def test_oom_rungs_replay_one_record(self, kernel_calls):
+        """A subtask that OOMs and succeeds on a later rung computes
+        once: the rungs replay the first rung's record, so the mapper's
+        combine is counted once, exactly as in thread mode."""
+        overrides = {"chunk_limit": 4_000, "tree_reduce_threshold": 1,
+                     "memory_limit": 12 * 1024}
+        with make_session(parallel=False, **overrides) as session:
+            low_cardinality_groupby(session)
+            serial = collect_report(session)
+        serial_calls = kernel_calls["kernels"]
+        with make_session(parallel=True, **overrides) as session:
+            low_cardinality_groupby(session)
+            thread = collect_report(session)
+        sim = serial["sim"]
+        assert sim["oom_retries"] > 0 and sim["pressure_splits"] == 0
+        assert sim["combine_dropped_rows"] > 0
+        assert serial_calls == sim["n_subtasks"]
+        assert serial == thread
 
 
 def _reachable_from(root) -> list:

@@ -102,7 +102,6 @@ def tpch_q1_workload(session: Session):
 MODES = [
     ("serial", {"parallel": False}),
     ("thread", {"parallel": True}),
-    ("process", {"parallel": True, "execution_mode": "process"}),
 ]
 
 CHAOS_RATES = {
@@ -315,8 +314,8 @@ class TestMessageChaosBitIdentity:
             # numbers, not delivery interleaving or session history.
             fired.append(session.cluster.actor_system.chaos.snapshot())
             session.close()
-        assert reports[0] == reports[1] == reports[2]
-        assert fired[0] == fired[1] == fired[2]
+        assert reports[0] == reports[1]
+        assert fired[0] == fired[1]
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,6 @@ class TestShuffleDeterminism:
         assert actual.equals(expected)
         assert parallel_report == serial_report
 
-    def test_vectorized_and_scalar_paths_identical(self):
-        fast, fast_report = self._run(shuffle_config(vectorized_shuffle=True))
-        slow, slow_report = self._run(shuffle_config(vectorized_shuffle=False))
-        assert fast.equals(slow)
-        assert fast_report == slow_report
-
 
 class TestMapperSideCombine:
     def _run(self, combine: bool):
@@ -268,9 +262,8 @@ class TestMapperSideCombine:
 
 
 class TestStringKeyShuffle:
-    """A string-keyed groupby shuffle end to end: the vectorized and the
-    scalar kernels route every row to the same reducer, and the fetched
-    result matches the single-node oracle."""
+    """A string-keyed groupby shuffle end to end: rows really cross the
+    shuffle, and the fetched result matches the single-node oracle."""
 
     @pytest.mark.parametrize("combine", [True, False])
     def test_string_groupby_matches_local(self, combine):
@@ -280,18 +273,11 @@ class TestStringKeyShuffle:
             dtype=object,
         )
         local = pf.DataFrame({"k": keys, "v": rng.normal(size=3_000)})
-        results = {}
-        for vectorized in (True, False):
-            cfg = shuffle_config(mapper_side_combine=combine,
-                                 vectorized_shuffle=vectorized)
-            with Session(cfg) as session:
-                out = from_frame(local, session).groupby("k").agg(
-                    {"v": "sum"}).fetch()
-                results[vectorized] = (out, report_tuple(session))
-        (fast, fast_report), (slow, slow_report) = results[True], results[False]
-        assert fast.equals(slow)
-        assert fast_report == slow_report
-        assert fast_report[3] > 0  # rows really crossed a shuffle
+        with Session(shuffle_config(mapper_side_combine=combine)) as session:
+            out = from_frame(local, session).groupby("k").agg(
+                {"v": "sum"}).fetch()
+            report = report_tuple(session)
+        assert report[3] > 0  # rows really crossed a shuffle
         expected = local.groupby("k").agg({"v": "sum"})
-        assert fast.index.to_list() == expected.index.to_list()
-        assert np.allclose(fast["v"].values, expected["v"].values)
+        assert out.index.to_list() == expected.index.to_list()
+        assert np.allclose(out["v"].values, expected["v"].values)

@@ -1,7 +1,7 @@
 """CI smoke for actor-plane chaos: message faults must be invisible.
 
 Runs TPC-H q5, TPC-H q1 and a groupby shuffle twice per execution mode
-(serial, thread, process): once fault-free and once under 2% message
+(serial, thread): once fault-free and once under 2% message
 drop/delay/duplicate chaos plus one scripted service-actor kill and one
 scripted runner death.  The chaos run must produce byte-identical
 results and a bit-identical ``SimReport`` — at-least-once delivery over
@@ -32,7 +32,6 @@ CHAOS_RATES = {"drop_rate": 0.02, "delay_rate": 0.02,
 MODES = [
     ("serial", {"parallel_execution": False}),
     ("thread", {"parallel_execution": True}),
-    ("process", {"parallel_execution": True, "execution_mode": "process"}),
 ]
 
 
